@@ -278,8 +278,8 @@ func BenchmarkReplicateAlloc(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "replicates/sec")
 	})
 
-	// The lockstep shape: 32 replicates per word through one transposed
-	// executor. Steady state (the executor is built once, then reused per
+	// The lockstep shape: 32 replicates through one lockstep executor.
+	// Steady state (the executor is built once, then reused per
 	// batch) must average 0 allocs per replicate, which the CI allocation
 	// gate enforces via the n= row-name convention.
 	b.Run("n=4096/lockstep", func(b *testing.B) {
@@ -353,8 +353,8 @@ func BenchmarkCompete(b *testing.B) {
 // BenchmarkStudyReplicates measures the batch throughput of the Study
 // API — replicates per second per engine at fixed n = 4096, worst-case
 // start, default worker pool — plus the lockstep rows: the same agent
-// study with 8 and 32 replicates per word on a single worker, isolating
-// the word-parallel speedup from worker-pool parallelism. Recorded
+// study with 8 and 32 replicates per lockstep batch on a single worker,
+// isolating the batching speedup from worker-pool parallelism. Recorded
 // results live in BENCH_study.json.
 func BenchmarkStudyReplicates(b *testing.B) {
 	engines := []struct {

@@ -48,7 +48,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "worker goroutines for -engine parallel (0 = GOMAXPROCS)")
 		replicates = flag.Int("replicates", 1, "number of replicate runs (a study when > 1)")
 		jobs       = flag.Int("jobs", 0, "concurrent replicates (0 = GOMAXPROCS)")
-		batch      = flag.Int("batch", 0, "lockstep width: replicates per word-parallel batch (0 or 1 = off, max 64; never changes results)")
+		batch      = flag.Int("batch", 0, "lockstep width: replicates per lockstep batch (0 or 1 = off, max 64; never changes results)")
 		traj       = flag.Bool("trajectory", false, "print x_t per round")
 	)
 	flag.Parse()
@@ -162,7 +162,10 @@ func main() {
 
 	if *replicates > 1 {
 		conv := report.Convergence
-		fmt.Printf("replicates %d across %d workers\n", study.Replicates(), study.Workers())
+		// The worker count depends on the host (GOMAXPROCS by default), so
+		// it goes to stderr: stdout carries only seed-determined values.
+		fmt.Printf("replicates %d\n", study.Replicates())
+		fmt.Fprintf(os.Stderr, "fetsim: %d replicates across %d workers\n", study.Replicates(), study.Workers())
 		fmt.Printf("converged  %d/%d (%.1f%%)\n", conv.Converged, conv.Replicates, 100*conv.SuccessRate)
 		fmt.Printf("t_con      mean %.1f, median %.1f, p95 %.1f, max %.0f\n",
 			conv.Rounds.Mean, conv.Rounds.Median, conv.Rounds.P95, conv.Rounds.Max)

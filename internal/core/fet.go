@@ -101,8 +101,8 @@ func (f *FET) DrawsPerRound() int { return 2 }
 
 // LockstepRule implements sim.TrendLockstep: FETAgent.Step is exactly
 // the trend-compare rule with d = 2 (count′ compared, count′′ stored),
-// so the lockstep replicate engine may replay it word-parallel across
-// lanes with bit-identical results.
+// so the lockstep replicate engine may replay it in its per-lane kernel
+// with bit-identical results.
 func (f *FET) LockstepRule() {}
 
 // NewAgent implements sim.Protocol.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -133,14 +134,24 @@ func writeJSON(w http.ResponseWriter, v interface{}) string {
 	return "ok"
 }
 
+// maxRequestBody is the largest request body, in bytes, a tool decodes.
+// Every query and sweep grid fits in a few kilobytes; a larger body is
+// invalidArgument, read no further than the limit.
+const maxRequestBody = 1 << 20
+
 // decodeJSON decodes a request body strictly: unknown fields and
 // trailing garbage are invalidArgument, so a typo'd field name fails
 // loudly instead of silently selecting a default (and a different
-// cache identity than the caller intended).
-func decodeJSON(r *http.Request, v interface{}) error {
-	dec := json.NewDecoder(r.Body)
+// cache identity than the caller intended). Bodies over maxRequestBody
+// are invalidArgument too.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v interface{}) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return Errorf(CodeInvalidArgument, "request body: larger than %d bytes", tooLarge.Limit)
+		}
 		return Errorf(CodeInvalidArgument, "request body: %v", err)
 	}
 	if dec.More() {
@@ -165,7 +176,7 @@ func wantsStream(r *http.Request) bool {
 // came from the cache or a fresh run.
 func (s *Server) handleStudyRun(w http.ResponseWriter, r *http.Request) string {
 	var q Query
-	if err := decodeJSON(r, &q); err != nil {
+	if err := decodeJSON(w, r, &q); err != nil {
 		return string(writeError(w, err))
 	}
 	key, err := s.backend.Resolve(q)
@@ -251,7 +262,7 @@ func (s *Server) handleStudyGet(w http.ResponseWriter, r *http.Request) string {
 			return string(writeError(w, Errorf(CodeInvalidArgument,
 				"key: required on GET (canonical cell key or sha256: hash); POST a query body to resolve one")))
 		}
-	} else if err := decodeJSON(r, &req); err != nil {
+	} else if err := decodeJSON(w, r, &req); err != nil {
 		return string(writeError(w, err))
 	}
 	var hash string
@@ -286,7 +297,7 @@ func (s *Server) handleStudyGet(w http.ResponseWriter, r *http.Request) string {
 // cache status without running anything.
 func (s *Server) handleSweepInspect(w http.ResponseWriter, r *http.Request) string {
 	var q SweepQuery
-	if err := decodeJSON(r, &q); err != nil {
+	if err := decodeJSON(w, r, &q); err != nil {
 		return string(writeError(w, err))
 	}
 	insp, err := s.backend.Inspect(q)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -260,6 +261,56 @@ func TestServerTypedErrors(t *testing.T) {
 		if err := json.Unmarshal(w.Body.Bytes(), &env); err != nil || env.Error == nil || env.Error.Code != tc.want {
 			t.Errorf("%q: envelope %s, want code %s", tc.body, w.Body, tc.want)
 		}
+	}
+}
+
+func TestServerOversizedBody(t *testing.T) {
+	// A body one byte over the limit — otherwise a valid query, so
+	// only the limit can reject it — must get the typed invalidArgument
+	// envelope from every tool that decodes a body, over a real socket
+	// as well as in-process, and must not reach the backend.
+	s, fb := newTestServer(t, Config{})
+	h := s.Handler()
+	prefix, suffix := `{"n":128,"scenario":"`, `"}`
+	big := prefix + strings.Repeat("x", maxRequestBody+1-len(prefix)-len(suffix)) + suffix
+	if len(big) != maxRequestBody+1 {
+		t.Fatalf("oversized body is %d bytes", len(big))
+	}
+	check := func(name string, code int, body []byte) {
+		t.Helper()
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (%.200s)", name, code, body)
+		}
+		var env errorEnvelope
+		if err := json.Unmarshal(body, &env); err != nil || env.Error == nil || env.Error.Code != CodeInvalidArgument {
+			t.Fatalf("%s: envelope %.200s, want code %s", name, body, CodeInvalidArgument)
+		}
+	}
+	for _, tool := range []string{ToolStudyRun, ToolStudyGet, ToolSweepInspect} {
+		w := post(t, h, "/v1/tools/"+tool, big)
+		check(tool, w.Code, w.Body.Bytes())
+	}
+
+	srv := httptest.NewServer(h)
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/v1/tools/"+ToolStudyRun, "application/json", strings.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("over HTTP", resp.StatusCode, body)
+	if n := fb.runs.Load(); n != 0 {
+		t.Fatalf("oversized bodies triggered %d runs", n)
+	}
+
+	// At exactly the limit the same query is decoded and answered.
+	exact := big[:len(prefix)] + big[len(prefix)+1:]
+	if w := post(t, h, "/v1/tools/"+ToolStudyRun, exact); w.Code != http.StatusOK {
+		t.Fatalf("body at the limit: status %d (%.200s)", w.Code, w.Body)
 	}
 }
 

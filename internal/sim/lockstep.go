@@ -11,14 +11,17 @@ import (
 
 // This file implements the lockstep replicate engine (DESIGN.md §10): up
 // to 64 replicates of one configuration — same shape, different
-// per-replicate seeds — advance through the round loop together, with
-// the population transposed so that one uint64 word holds the same
-// agent's opinion across all lanes. The per-agent trend-compare update
-// (the TrendLockstep contract) is replayed directly against per-lane
-// tabulated binomial thresholds, with the per-agent xoshiro draws and
-// the threshold scans inlined into one kernel, so a batch amortizes the
-// round loop's dispatch and bookkeeping across W replicates while
-// staying bit-identical to running each lane alone: every lane consumes
+// per-replicate seeds — advance through the round loop together. The
+// state is lane-major: each lane owns a contiguous block of agent
+// streams and stored counts and its own packed opinion bitset, and each
+// round sweeps one live lane at a time over its agents. The per-agent
+// trend-compare update (the TrendLockstep contract) is replayed directly
+// against the lane's tabulated binomial thresholds, with the per-agent
+// xoshiro draws and the threshold scans inlined into one kernel, so a
+// batch amortizes the round loop's dispatch and bookkeeping across W
+// replicates while staying bit-identical to running each lane alone: on
+// the complete topology an observation never reads another agent's
+// opinion, so lanes need no shared word. Every lane consumes
 // exactly the sequential fast path's RNG stream layout
 // (StreamSeed(laneSeed, 0) initializer, StreamSeed(laneSeed, j+1) for
 // agent j, d = DrawsPerRound outputs per agent per round).
@@ -39,7 +42,7 @@ import (
 // observer's deferred advances).
 
 // maxLockstepLanes is the lane capacity of one lockstep batch: one bit
-// per lane in the transposed opinion words.
+// per lane in the uint64 live-lane masks.
 const maxLockstepLanes = 64
 
 // maxLockstepCount bounds the protocol's declared sample size on the
@@ -99,7 +102,7 @@ func lockstepSupported(c *Config) bool {
 	return true
 }
 
-// lockstepExecutor holds the transposed population of one batch. All
+// lockstepExecutor holds the lane-major population of one batch. All
 // O(n·W) buffers are allocated at construction and reused across
 // batches through the pool, and a steady-state round allocates nothing.
 type lockstepExecutor struct {
@@ -107,6 +110,7 @@ type lockstepExecutor struct {
 	lanes int // W, the batch width (pool shape)
 	d     int // protocol draws per round (1 or 2)
 	m     int // the single declared sample size
+	nw    int // opinion words per lane, ⌈n/64⌉
 
 	// scratch replays per-agent construction-time RNG (CorruptState)
 	// during populate; the lockstep kernel never invokes agent Steps.
@@ -121,50 +125,46 @@ type lockstepExecutor struct {
 	// interface seam, which would otherwise heap-allocate it per lane.
 	initSrc rng.Source
 
-	// srcs and prev are lane-major per agent: index agent*lanes+lane, so
-	// one agent's lanes are contiguous for the kernel's inner loop. cur
-	// is the transposed opinion buffer: bit l of cur[j] is agent j's
-	// opinion in lane l. There is no double buffer — on the tabulated
+	// srcs and prev are lane-major: index lane*n+agent, so one lane's
+	// agents are contiguous for the kernel's sweep. ops holds one packed
+	// opinion bitset per lane: bit j&63 of ops[lane*nw+j>>6] is agent j's
+	// opinion in that lane. There is no double buffer — on the tabulated
 	// fast path observations never read the opinion bitset, so in-place
 	// update is byte-equivalent to the sequential engine's swap.
 	srcs []rng.Source
 	prev []uint16
-	cur  []uint64
+	ops  []uint64
 
 	ones   []int                    // per-lane 1-opinion counts
-	deltas []int                    // per-lane ones delta of the current round
 	debt   []uint32                 // per-lane skipped degenerate rounds
 	pinned []int8                   // per-lane pinned prev sign (−1 none, 0, 1)
 	thr    []rng.BinomialThresholds // per-lane round law
-	tcols  [][]uint64               // per-lane threshold slices for the kernel
-	gcols  []*rng.GuideTable        // per-lane scan-guide tables
 
 	states []laneState // per-lane driver bookkeeping, pooled with the buffers
 }
 
-// newLockstepExecutor allocates the transposed buffers for batches of
+// newLockstepExecutor allocates the lane-major buffers for batches of
 // exactly lanes replicates of c's shape. The caller has checked
 // lockstepSupported.
 func newLockstepExecutor(c *Config, lanes int) *lockstepExecutor {
 	proto := c.Protocol.(TrendLockstep)
 	m, _ := singleSampleSize(proto.SampleSizes())
 	n := c.N
+	nw := (n + 63) >> 6
 	e := &lockstepExecutor{
 		lanes:    lanes,
 		d:        proto.DrawsPerRound(),
 		m:        m,
+		nw:       nw,
 		isSource: make([]bool, n),
 		initBuf:  make([]byte, n),
 		srcs:     make([]rng.Source, n*lanes),
 		prev:     make([]uint16, n*lanes),
-		cur:      make([]uint64, n),
+		ops:      make([]uint64, nw*lanes),
 		ones:     make([]int, lanes),
-		deltas:   make([]int, lanes),
 		debt:     make([]uint32, lanes),
 		pinned:   make([]int8, lanes),
 		thr:      make([]rng.BinomialThresholds, lanes),
-		tcols:    make([][]uint64, lanes),
-		gcols:    make([]*rng.GuideTable, lanes),
 		states:   make([]laneState, lanes),
 	}
 	for i := 0; i < c.Sources; i++ {
@@ -178,16 +178,18 @@ func newLockstepExecutor(c *Config, lanes int) *lockstepExecutor {
 	return e
 }
 
+// laneOps is lane l's packed opinion bitset.
+func (e *lockstepExecutor) laneOps(l int) []uint64 {
+	return e.ops[l*e.nw : (l+1)*e.nw]
+}
+
 // populate initializes the executor for one batch, replaying per lane
 // exactly the RNG consumption of the sequential populate — initializer
 // stream 0, agent streams 1..n with CorruptState draws — so every lane
 // starts from the state its replicate would reach alone.
 func (e *lockstepExecutor) populate(c *Config, lanes []LaneRun) error {
 	e.cfg = c
-	n, W := c.N, e.lanes
-	for j := range e.cur {
-		e.cur[j] = 0
-	}
+	n := c.N
 	for l := range lanes {
 		seed := lanes[l].Seed
 		for i := range e.initBuf {
@@ -203,24 +205,27 @@ func (e *lockstepExecutor) populate(c *Config, lanes []LaneRun) error {
 				return fmt.Errorf("sim: initializer %q overwrote a source opinion", c.Init.Name())
 			}
 		}
-		bit := uint64(1) << uint(l)
+		ops := e.laneOps(l)
+		for w := range ops {
+			ops[w] = 0
+		}
 		ones := 0
 		for j := 0; j < n; j++ {
 			if e.initBuf[j] == 1 {
-				e.cur[j] |= bit
+				ops[j>>6] |= 1 << uint(j&63)
 				ones++
 			}
 		}
 		e.ones[l] = ones
+		srcs, prev := e.srcs[l*n:(l+1)*n], e.prev[l*n:(l+1)*n]
 		for j := c.Sources; j < n; j++ {
-			idx := j*W + l
-			src := &e.srcs[idx]
+			src := &srcs[j]
 			src.Reseed(rng.StreamSeed(seed, uint64(j)+1))
 			e.scratchReset.ResetAgent()
 			if c.CorruptStates && e.scratchCorrupt != nil {
 				e.scratchCorrupt.CorruptState(src)
 			}
-			e.prev[idx] = uint16(e.scratchPrev.PrevCount())
+			prev[j] = uint16(e.scratchPrev.PrevCount())
 		}
 		e.debt[l] = 0
 		e.pinned[l] = -1
@@ -235,37 +240,33 @@ func (e *lockstepExecutor) populate(c *Config, lanes []LaneRun) error {
 //fet:hotpath
 func (e *lockstepExecutor) stepRound(correct byte, active uint64) {
 	c := e.cfg
-	n, W := c.N, e.lanes
-
-	// Re-pin the sources in every active lane (under FlipCorrectAt the
-	// displayed opinions must follow the flip before observations).
+	n := c.N
 	var want uint64
 	if correct == OpinionOne {
 		want = ^uint64(0)
 	}
-	for i := 0; i < c.Sources; i++ {
-		changed := (e.cur[i] ^ want) & active
-		if changed == 0 {
-			continue
-		}
-		for msk := changed; msk != 0; msk &= msk - 1 {
-			l := bits.TrailingZeros64(msk)
-			if correct == OpinionOne {
-				e.ones[l]++
-			} else {
-				e.ones[l]--
-			}
-		}
-		e.cur[i] = (e.cur[i] &^ active) | (want & active)
-	}
 
-	// Classify lanes. A degenerate lane (xObs ∈ {0, 1}) skips its RNG:
+	// Per active lane: re-pin the sources (under FlipCorrectAt the
+	// displayed opinions must follow the flip before observations), then
+	// classify the lane. A degenerate lane (xObs ∈ {0, 1}) skips its RNG:
 	// the stored counts pin to the forced value once per episode and the
 	// d unused draws per agent accrue as debt. A live lane first settles
-	// any debt with bulk stream advances, then tabulates its round law.
-	var live uint64
+	// any debt with bulk stream advances, then tabulates its round law
+	// and sweeps its agents.
 	for msk := active; msk != 0; msk &= msk - 1 {
 		l := bits.TrailingZeros64(msk)
+		ops := e.laneOps(l)
+		for i := 0; i < c.Sources; i += 64 {
+			mask := ^uint64(0)
+			if r := c.Sources - i; r < 64 {
+				mask = 1<<uint(r) - 1
+			}
+			old := ops[i>>6]
+			now := old&^mask | want&mask
+			ops[i>>6] = now
+			e.ones[l] += bits.OnesCount64(now) - bits.OnesCount64(old)
+		}
+
 		x := float64(e.ones[l]) / float64(n)
 		xObs := observedFraction(x, c.NoiseEps)
 		if xObs == 0 || xObs == 1 {
@@ -274,8 +275,9 @@ func (e *lockstepExecutor) stepRound(correct byte, active uint64) {
 				pin, pv = uint16(e.m), 1
 			}
 			if e.pinned[l] != pv {
-				for j := c.Sources; j < n; j++ {
-					e.prev[j*W+l] = pin
+				prev := e.prev[l*n+c.Sources : (l+1)*n]
+				for j := range prev {
+					prev[j] = pin
 				}
 				e.pinned[l] = pv
 			}
@@ -284,60 +286,47 @@ func (e *lockstepExecutor) stepRound(correct byte, active uint64) {
 		}
 		if e.debt[l] > 0 {
 			adv := int(e.debt[l]) * e.d
-			for j := c.Sources; j < n; j++ {
+			srcs := e.srcs[l*n+c.Sources : (l+1)*n]
+			for j := range srcs {
 				//fet:allow rngmirror: settles exactly debt·d deferred draws per agent stream — the outputs the skipped degenerate rounds would have consumed
-				e.srcs[j*W+l].Advance(adv)
+				srcs[j].Advance(adv)
 			}
 			e.debt[l] = 0
 		}
 		e.pinned[l] = -1
 		e.thr[l].Reset(e.m, xObs)
-		e.tcols[l] = e.thr[l].Thresholds()
-		e.gcols[l] = e.thr[l].Guide()
-		live |= 1 << uint(l)
-		e.deltas[l] = 0
-	}
-	if live == 0 {
-		return
-	}
-	e.kernel(live)
-	for msk := live; msk != 0; msk &= msk - 1 {
-		l := bits.TrailingZeros64(msk)
-		e.ones[l] += e.deltas[l]
+		e.kernel(l)
 	}
 }
 
-// kernel sweeps the non-source agents once, advancing every live lane:
-// per (agent, lane) it draws the protocol's d stream outputs with the
-// xoshiro step inlined, inverts each against the lane's threshold table
-// — the guide table starts the scan within an expected single compare
-// of the answer — and applies the trend-compare rule against the lane's
-// stored count, branchlessly. Everything is straight-line over
-// preallocated buffers: zero allocations, no interface dispatch, and
-// independent lanes give the superscalar core independent RNG
-// dependency chains to overlap.
+// kernel sweeps lane l's non-source agents once and recounts the lane's
+// 1-opinions. Per agent it draws the protocol's d stream outputs with
+// the xoshiro step inlined, inverts each against the lane's threshold
+// table — the guide table starts the scan within an expected single
+// compare of the answer — and applies the trend-compare rule against
+// the agent's stored count without branches. The lane's tables and its
+// current 64-agent opinion word stay in locals: the word is written
+// back once per 64 agents. Everything is straight-line over
+// preallocated buffers: zero allocations and no interface dispatch.
 //
 //fet:hotpath
-func (e *lockstepExecutor) kernel(live uint64) {
+func (e *lockstepExecutor) kernel(l int) {
 	c := e.cfg
-	n, W := c.N, e.lanes
+	n, lo := c.N, c.Sources
 	d2 := e.d == 2
-	srcs := e.srcs
-	prev := e.prev
-	cur := e.cur
-	tcols := e.tcols
-	gcols := e.gcols
-	deltas := e.deltas
-	for j := c.Sources; j < n; j++ {
-		base := j * W
-		word := cur[j]
-		for lm := live; lm != 0; lm &= lm - 1 {
-			l := bits.TrailingZeros64(lm)
-			idx := base + l
-			src := &srcs[idx]
-			t := tcols[l]
-			g := gcols[l]
-
+	t := e.thr[l].Thresholds()
+	g := e.thr[l].Guide()
+	srcs := e.srcs[l*n : (l+1)*n]
+	prev := e.prev[l*n : (l+1)*n]
+	ops := e.laneOps(l)
+	for w := lo >> 6; w < len(ops); w++ {
+		jlo, jhi := max(w<<6, lo), min(w<<6+64, n)
+		ws, wp := srcs[jlo:jhi], prev[jlo:jhi]
+		wp = wp[:len(ws)]
+		word := ops[w]
+		sh := uint(jlo & 63)
+		for i := range ws {
+			src := &ws[i]
 			//fet:allow rngmirror: one output per protocol draw — the same single consumption as the tabulated SampleU path
 			mant := src.Uint64() >> 11
 			k := int(g[mant>>rng.GuideShift])
@@ -355,21 +344,22 @@ func (e *lockstepExecutor) kernel(live uint64) {
 				}
 				store = k
 			}
-			p := int(prev[idx])
-			prev[idx] = uint16(store)
-			bit := (word >> uint(l)) & 1
-			out := bit
-			switch {
-			case c0 > p:
-				out = 1
-			case c0 < p:
-				out = 0
-			}
-			word ^= (out ^ bit) << uint(l)
-			deltas[l] += int(out) - int(bit)
+			p := int(wp[i])
+			wp[i] = uint16(store)
+			// Counts are below 2^16, so the sign bit of each difference
+			// is the comparison: up is c0 > p, down is c0 < p.
+			up := uint64(p-c0) >> 63
+			down := uint64(c0-p) >> 63
+			word = word&^(down<<(sh&63)) | up<<(sh&63)
+			sh++
 		}
-		cur[j] = word
+		ops[w] = word
 	}
+	ones := 0
+	for _, word := range ops {
+		ones += bits.OnesCount64(word)
+	}
+	e.ones[l] = ones
 }
 
 // runLockstepLoop drives one populated batch to completion: the shared

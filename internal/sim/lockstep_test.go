@@ -16,7 +16,7 @@ import (
 // mirrors FET (compare the first count, store the second), d = 1 mirrors
 // SimpleTrend (one count for both). The bit-identity battery runs it
 // through both the sequential fast path (agents stepping) and the
-// lockstep executor (rule replayed word-parallel) and demands identical
+// lockstep executor (rule replayed by the lane kernel) and demands identical
 // results.
 type lsTrendProto struct {
 	ell   int
@@ -140,8 +140,25 @@ func TestLockstepBitIdenticalMatrix(t *testing.T) {
 		{"absorb-window-3", func(c *Config) { c.AbsorbWindow = 3 }},
 		{"trajectory", func(c *Config) { c.RecordTrajectory = true; c.MaxRounds = 60; c.RunToEnd = true }},
 		{"parallel-engine", func(c *Config) { c.Engine = EngineAgentParallel; c.Parallelism = 4 }},
+		// Populations around the 64-agent word boundary of the per-lane
+		// opinion bitsets: a partial single word, exactly one word, and
+		// one agent spilling into a second word (the base N = 300 ends
+		// mid-word).
+		{"n=63", func(c *Config) { c.N = 63 }},
+		{"n=64", func(c *Config) { c.N = 64 }},
+		{"n=65", func(c *Config) { c.N = 65 }},
+		// A source prefix that fills the first word and ends inside the
+		// second: source re-pinning and the kernel's first swept word
+		// both straddle a word boundary. The flip re-pins all 70 sources
+		// mid-run, and the trajectory pins every round's count, so a
+		// source bit left unflipped or overwritten shows.
+		{"sources-70", func(c *Config) {
+			c.Sources = 70
+			c.FlipCorrectAt = 40
+			c.RecordTrajectory = true
+		}},
 	}
-	widths := []int{2, 5, 32, 64}
+	widths := []int{1, 2, 5, 32, 64}
 
 	for _, sc := range scenarios {
 		for _, w := range widths {
@@ -161,11 +178,22 @@ func TestLockstepBitIdenticalMatrix(t *testing.T) {
 				defer seqPool.Release()
 				want := runLanesSequential(context.Background(), seqPool, cfg, lanes)
 
-				lockPool := NewPool()
-				defer lockPool.Release()
 				got := make([]LaneResult, w)
-				if err := lockPool.RunLockstep(context.Background(), cfg, lanes, got); err != nil {
-					t.Fatalf("RunLockstep: %v", err)
+				if w == 1 {
+					// RunLockstep sends single-lane batches down the
+					// sequential path; drive the executor itself so the
+					// one-lane kernel is compared too.
+					e := newLockstepExecutor(&c, w)
+					if err := e.populate(&c, lanes); err != nil {
+						t.Fatalf("populate: %v", err)
+					}
+					runLockstepLoop(context.Background(), &c, e, lanes, got)
+				} else {
+					lockPool := NewPool()
+					defer lockPool.Release()
+					if err := lockPool.RunLockstep(context.Background(), cfg, lanes, got); err != nil {
+						t.Fatalf("RunLockstep: %v", err)
+					}
 				}
 				for l := range lanes {
 					if got[l].Err != nil || want[l].Err != nil {

@@ -109,7 +109,7 @@ func (p *Pool) RunContext(ctx context.Context, cfg Config) (Result, error) {
 // lane's outcome to out[l]. Outcomes are bit-identical to running every
 // lane alone through RunContext: when the configuration supports the
 // lockstep executor (see lockstepSupported) the whole batch advances
-// word-parallel through a pooled transposed executor; otherwise, and for
+// through one round loop on a pooled lockstep executor; otherwise, and for
 // single-lane batches, each lane falls back to the sequential path.
 // cfg.Seed and cfg.Observers are ignored — both are per-lane.
 //

@@ -132,7 +132,7 @@ type TrendLockstep interface {
 
 // PrevCounter is implemented by trend-following agents exposing their
 // stored previous-round count. The lockstep engine reads it once per
-// replicate to transpose the agent state into its lane-major buffers.
+// replicate to copy the agent state into its lane-major buffers.
 type PrevCounter interface {
 	PrevCount() int
 }

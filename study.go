@@ -24,14 +24,14 @@ type StudySpec struct {
 	// every parallelism level.
 	Workers int
 	// Batch is the lockstep width W: each worker runs up to W replicates
-	// word-parallel through one transposed executor when the replicate
-	// configuration supports it (complete topology, trend-rule protocol,
-	// agent engines; see the sim package's lockstep executor), falling
-	// back to sequential per-replicate runs otherwise. 0 or 1 disables
-	// batching; the maximum is MaxBatch (one replicate per bit of a
-	// uint64 word). Like Workers, Batch affects scheduling only: reports
-	// are bit-identical at every Workers × Batch combination. The
-	// EngineMarkovChain form ignores Batch.
+	// through one shared round loop and lockstep executor when the
+	// replicate configuration supports it (complete topology, trend-rule
+	// protocol, agent engines; see the sim package's lockstep executor),
+	// falling back to sequential per-replicate runs otherwise. 0 or 1
+	// disables batching; the maximum is MaxBatch (one replicate per bit
+	// of the executor's uint64 lane masks). Like Workers, Batch affects
+	// scheduling only: reports are bit-identical at every Workers × Batch
+	// combination. The EngineMarkovChain form ignores Batch.
 	Batch int
 	// Options is the per-replicate template for the common case (FET
 	// under the worst-case defaults). Options.Seed is the study's root
@@ -55,7 +55,8 @@ type StudySpec struct {
 }
 
 // MaxBatch is the largest StudySpec.Batch (and SweepSpec.Batch) width:
-// the lockstep executor packs one replicate per bit of a uint64 word.
+// the lockstep executor tracks its lanes, one replicate each, in uint64
+// masks.
 const MaxBatch = 64
 
 // StreamSeed exposes the repository's SplitMix64 stream-derivation rule:

@@ -65,7 +65,7 @@ type SweepSpec struct {
 	Workers int
 	// Batch is the per-cell lockstep width W (see StudySpec.Batch): a
 	// worker claims up to W consecutive replicates of one cell and runs
-	// them word-parallel when the cell's configuration supports the
+	// them in lockstep when the cell's configuration supports the
 	// lockstep executor, falling back to sequential runs otherwise.
 	// 0 or 1 disables batching; the maximum is MaxBatch. Custom-runner
 	// scenarios and EngineMarkovChain cells always run per-replicate.

@@ -129,3 +129,58 @@ func TestParseSweepCSVTopologyColumn(t *testing.T) {
 		}
 	}
 }
+
+// quickE01CellKeys are the canonical keys of the quick-scale E01 grid
+// as the CI sweep fleet runs it (seed 1): the seed corpus of
+// FuzzParseCellKey.
+func quickE01CellKeys(tb testing.TB) []CellKey {
+	tb.Helper()
+	sweep, err := NewSweep(SweepSpec{
+		Ns:         []int{256, 1024, 4096},
+		Scenarios:  namedScenarios(DefaultScenario, "half-split", "uniform"),
+		Replicates: 8,
+		Seed:       1,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sweep.CellKeys()
+}
+
+// FuzzParseCellKey: ParseCellKey must never panic, and any string it
+// accepts must re-canonicalize to itself — otherwise one cell could be
+// cached under two content addresses.
+func FuzzParseCellKey(f *testing.F) {
+	keys := quickE01CellKeys(f)
+	for _, k := range keys {
+		if _, err := ParseCellKey(k.Canonical()); err != nil {
+			f.Fatalf("quick E01 key does not parse: %v", err)
+		}
+		f.Add(k.Canonical())
+	}
+	k := keys[0]
+	k.Sources, k.NoiseEps, k.FlipFrac = 3, 0.05, 0.25
+	f.Add(k.Canonical())
+	// Near-canonical variants the parser must reject: signed or
+	// zero-prefixed numbers, a non-shortest float, reordered and
+	// duplicated fields, an explicit zero override, a trailing space.
+	c := keys[0].Canonical()
+	f.Add(strings.Replace(c, " n=256 ", " n=0256 ", 1))
+	f.Add(strings.Replace(c, " n=256 ", " n=+256 ", 1))
+	f.Add(c + " noise_eps=0.050")
+	f.Add(c + " flip_frac=0.25 noise_eps=0.05")
+	f.Add(c + " sources=3 sources=3")
+	f.Add(c + " sources=0")
+	f.Add(c + " ")
+	f.Add("")
+
+	f.Fuzz(func(t *testing.T, s string) {
+		k, err := ParseCellKey(s)
+		if err != nil {
+			return
+		}
+		if got := k.Canonical(); got != s {
+			t.Fatalf("ParseCellKey accepted a non-canonical key:\ninput:     %q\ncanonical: %q", s, got)
+		}
+	})
+}

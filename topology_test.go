@@ -237,36 +237,67 @@ func buildCLITools(t *testing.T) string {
 	return dir
 }
 
+// goldenGOMAXPROCS are the GOMAXPROCS values every golden CLI run is
+// repeated under: the goldens pin stdout, which must carry no
+// host-derived value such as the default worker count.
+var goldenGOMAXPROCS = []int{1, 4}
+
+// execCLI runs a built CLI tool with GOMAXPROCS=procs and returns its
+// stdout and exit code. Stderr stays out of the returned bytes — it may
+// report host-derived values — and is shown only when the run fails.
+func execCLI(t *testing.T, procs int, bin string, args ...string) ([]byte, int) {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	cmd.Env = append(os.Environ(), fmt.Sprintf("GOMAXPROCS=%d", procs))
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	var ee *exec.ExitError
+	switch {
+	case err == nil:
+		return out, 0
+	case errors.As(err, &ee) && ee.ExitCode() == 1:
+		return out, 1
+	}
+	t.Fatalf("%s %v at GOMAXPROCS=%d: %v\n%s%s", filepath.Base(bin), args, procs, err, out, stderr.Bytes())
+	return nil, 0
+}
+
+// runCLIStrict is execCLI for runs that must exit 0.
+func runCLIStrict(t *testing.T, procs int, bin string, args ...string) []byte {
+	t.Helper()
+	out, code := execCLI(t, procs, bin, args...)
+	if code != 0 {
+		t.Fatalf("%s %v at GOMAXPROCS=%d exited %d\n%s", filepath.Base(bin), args, procs, code, out)
+	}
+	return out
+}
+
 // TestGoldenFetsimByteIdentical: the default-topology regression guard.
 // testdata/golden_fetsim.txt was captured from the pre-topology tree at
 // fixed seeds; the refactored fetsim must reproduce it byte for byte —
-// no silent RNG-stream reshuffle for existing users.
+// no silent RNG-stream reshuffle for existing users — at any GOMAXPROCS.
 func TestGoldenFetsimByteIdentical(t *testing.T) {
 	bin := buildCLITools(t)
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden_fetsim.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := exec.Command(filepath.Join(bin, "fetsim"),
-		"-n", "1024", "-seed", "7", "-replicates", "8").CombinedOutput()
-	if err != nil {
-		t.Fatalf("fetsim: %v\n%s", err, out)
-	}
-	if !bytes.Equal(out, golden) {
-		t.Fatalf("fetsim output diverged from the pre-topology golden:\n--- golden\n%s\n--- got\n%s", golden, out)
-	}
-
 	goldenTraj, err := os.ReadFile(filepath.Join("testdata", "golden_fetsim_traj.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err = exec.Command(filepath.Join(bin, "fetsim"),
-		"-n", "512", "-seed", "3", "-trajectory").CombinedOutput()
-	if err != nil {
-		t.Fatalf("fetsim -trajectory: %v\n%s", err, out)
-	}
-	if !bytes.Equal(out, goldenTraj) {
-		t.Fatalf("fetsim trajectory diverged from the pre-topology golden (full x_t stream reshuffled)")
+	for _, procs := range goldenGOMAXPROCS {
+		out := runCLIStrict(t, procs, filepath.Join(bin, "fetsim"),
+			"-n", "1024", "-seed", "7", "-replicates", "8")
+		if !bytes.Equal(out, golden) {
+			t.Fatalf("GOMAXPROCS=%d: fetsim output diverged from the pre-topology golden:\n--- golden\n%s\n--- got\n%s", procs, golden, out)
+		}
+		out = runCLIStrict(t, procs, filepath.Join(bin, "fetsim"),
+			"-n", "512", "-seed", "3", "-trajectory")
+		if !bytes.Equal(out, goldenTraj) {
+			t.Fatalf("GOMAXPROCS=%d: fetsim trajectory diverged from the pre-topology golden (full x_t stream reshuffled)", procs)
+		}
 	}
 }
 
@@ -281,19 +312,18 @@ func TestGoldenFetsweepByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := exec.Command(filepath.Join(bin, "fetsweep"),
-		"-ns", "256,1024", "-trials", "8", "-scenarios", "worst-case,noisy",
-		"-seed", "9", "-workers", "4", "-format", "csv").CombinedOutput()
-	if err != nil {
-		t.Fatalf("fetsweep: %v\n%s", err, out)
-	}
-	stripped, err := stripCSVColumn(out, "topology")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(stripped, golden) {
-		t.Fatalf("fetsweep CSV (minus the topology column) diverged from the pre-topology golden:\n--- golden\n%s\n--- got\n%s",
-			golden, stripped)
+	for _, procs := range goldenGOMAXPROCS {
+		out := runCLIStrict(t, procs, filepath.Join(bin, "fetsweep"),
+			"-ns", "256,1024", "-trials", "8", "-scenarios", "worst-case,noisy",
+			"-seed", "9", "-workers", "4", "-format", "csv")
+		stripped, err := stripCSVColumn(out, "topology")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(stripped, golden) {
+			t.Fatalf("GOMAXPROCS=%d: fetsweep CSV (minus the topology column) diverged from the pre-topology golden:\n--- golden\n%s\n--- got\n%s",
+				procs, golden, stripped)
+		}
 	}
 }
 
@@ -381,23 +411,6 @@ func TestCompleteSweepCSVSchemaStable(t *testing.T) {
 	}
 }
 
-// runCLIGolden executes a built CLI tool and returns its combined
-// output, tolerating exit code 1 — fetsim reports "not all replicates
-// converged" through its exit status, and the sparse goldens were
-// deliberately captured at short horizons where that is the expected
-// outcome. Any other failure is a real error.
-func runCLIGolden(t *testing.T, bin string, args ...string) []byte {
-	t.Helper()
-	out, err := exec.Command(bin, args...).CombinedOutput()
-	if err != nil {
-		var ee *exec.ExitError
-		if !errors.As(err, &ee) || ee.ExitCode() != 1 {
-			t.Fatalf("%s %v: %v\n%s", filepath.Base(bin), args, err, out)
-		}
-	}
-	return out
-}
-
 // TestGoldenSparseTopologyByteIdentical: the sparse-topology regression
 // guard for the CSR gather rewrite. The three fixtures were captured
 // from the per-neighbor-draw tree at fixed seeds; the batched-RNG path
@@ -428,10 +441,15 @@ func TestGoldenSparseTopologyByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out := runCLIGolden(t, filepath.Join(bin, tc.tool), tc.args...)
-			if !bytes.Equal(out, golden) {
-				t.Fatalf("%s output diverged from the pre-rewrite golden:\n--- golden\n%s\n--- got\n%s",
-					tc.tool, golden, out)
+			// fetsim reports "not all replicates converged" through exit
+			// status 1, and the sparse goldens were deliberately captured
+			// at short horizons where that is the expected outcome.
+			for _, procs := range goldenGOMAXPROCS {
+				out, _ := execCLI(t, procs, filepath.Join(bin, tc.tool), tc.args...)
+				if !bytes.Equal(out, golden) {
+					t.Fatalf("GOMAXPROCS=%d: %s output diverged from the pre-rewrite golden:\n--- golden\n%s\n--- got\n%s",
+						procs, tc.tool, golden, out)
+				}
 			}
 		})
 	}
