@@ -145,6 +145,10 @@ func main() {
 		}
 	}
 
+	if reason := study.LockstepRefusal(); *batch > 1 && reason != "" {
+		fmt.Fprintf(os.Stderr, "fetsim: -batch %d: the lockstep executor refuses the %s; replicates run one at a time\n", *batch, reason)
+	}
+
 	fmt.Printf("protocol   %s\n", protoName)
 	fmt.Printf("population %d (%d source(s), correct opinion %d)\n", *n, *sources, correctBit)
 	fmt.Printf("init       %s\n", initLabel)

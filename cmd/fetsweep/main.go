@@ -52,6 +52,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -139,6 +140,10 @@ func main() {
 		fatalf(2, "%v", err)
 	}
 
+	if *batch > 1 {
+		warnRefusals(sweep.Cells(), *batch)
+	}
+
 	report, err := sweep.Run(context.Background())
 	if err != nil {
 		fatalf(1, "%v", err)
@@ -167,6 +172,25 @@ func main() {
 		fmt.Printf("%s\n", data)
 	default: // "table", validated before the sweep ran
 		printTable(report, ns)
+	}
+}
+
+// warnRefusals prints one stderr line naming why the lockstep executor
+// refuses some of the grid's cells (they run one replicate at a time).
+func warnRefusals(cells []passivespread.SweepCell, batch int) {
+	refused := 0
+	var reasons []string
+	for _, c := range cells {
+		if r := c.LockstepRefusal; r != "" {
+			refused++
+			if !slices.Contains(reasons, r) {
+				reasons = append(reasons, r)
+			}
+		}
+	}
+	if refused > 0 {
+		fmt.Fprintf(os.Stderr, "fetsweep: -batch %d: the lockstep executor refuses %d of %d cells (%s); their replicates run one at a time\n",
+			batch, refused, len(cells), strings.Join(reasons, ", "))
 	}
 }
 

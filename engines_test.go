@@ -100,3 +100,21 @@ func TestAggregateEngineHugePopulation(t *testing.T) {
 		t.Fatalf("t_con = %d at n = 10⁸, outside the plausible polylog band", res.Round)
 	}
 }
+
+// TestAggregateSubnormalPMFReplay replays worst-case seeds that used to
+// panic at n = 2^20 (ℓ = 60): once the observed fraction came within
+// ~5.6e-6 of 1, the binomial pmf's start term q^ℓ was subnormal, its
+// mass drifted past Multinomial's tolerance, and the panic took down
+// the replicate's goroutine — in fetserve, the whole daemon. Seed 81 is
+// the first failing seed of a 0…599 scan.
+func TestAggregateSubnormalPMFReplay(t *testing.T) {
+	for _, seed := range []uint64{81, 88, 197} {
+		res, err := Disseminate(Options{N: 1 << 20, Seed: seed, Engine: EngineAggregate})
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if !res.Converged {
+			t.Fatalf("seed %d: worst-case run did not converge: %+v", seed, res)
+		}
+	}
+}

@@ -19,32 +19,30 @@
 // rejecting anything corrupt or misnamed rather than trusting it. A
 // resumed run is therefore byte-identical to an uninterrupted one: a
 // cell is either fully checkpointed or re-run from its seed.
+//
+// What that survives: Save never calls fsync, on the file or on the
+// directory. A finished Save survives the death of the process (SIGKILL,
+// a crash, the OOM killer), because the kernel already holds the
+// renamed file. It need not survive a power loss or a kernel crash:
+// recent checkpoints may vanish, or a renamed file may come back torn
+// or zero-filled. Such a file fails verification on load, which counts
+// it as a miss, and its cell re-runs — so the resumed output is still
+// byte-identical; only the saved work is lost.
 package checkpoint
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"passivespread/internal/serve"
 )
 
-// Envelope is the on-disk form of one checkpointed cell. It mirrors
-// the fetserve cache's persist envelope: the canonical key, the body,
-// and the body's own digest, so either store could in principle verify
-// the other's files.
-type Envelope struct {
-	// Key is the canonical cell key string; its SHA-256 must equal the
-	// file's name stem.
-	Key string `json:"key"`
-	// BodySHA256 is the hex SHA-256 of Body, detecting torn or
-	// bit-rotted payloads independently of the file name.
-	BodySHA256 string `json:"body_sha256"`
-	// Body is the checkpointed payload (a sweep row in canonical JSON).
-	Body json.RawMessage `json:"body"`
-}
+// Envelope is the on-disk form of one checkpointed cell: the fetserve
+// cache's envelope (the canonical key, the body — a sweep row in
+// canonical JSON — and the body's own digest), written and verified by
+// the same code, so either store can verify the other's files.
+type Envelope = serve.Envelope
 
 // Store is one checkpoint directory. Methods are safe for concurrent
 // use by the sweep's worker pool: each cell writes exactly one file,
@@ -68,29 +66,13 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store's directory.
 func (s *Store) Dir() string { return s.dir }
 
-// path returns the envelope file for a canonical key.
-func (s *Store) path(canonical string) string {
-	return filepath.Join(s.dir, serve.HashHex(canonical)+".json")
-}
-
 // Load returns the checkpointed body for a canonical key, or ok =
 // false when no valid envelope exists. A present-but-invalid file
 // (torn write, bit rot, hash mismatch, foreign key) is treated as a
 // miss — the cell re-runs from its seed, which is always correct.
 func (s *Store) Load(canonical string) ([]byte, bool) {
-	hash := serve.HashHex(canonical)
-	data, err := os.ReadFile(filepath.Join(s.dir, hash+".json"))
-	if err != nil {
-		return nil, false
-	}
-	var env Envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, false
-	}
-	if env.Key != canonical || len(env.Body) == 0 {
-		return nil, false
-	}
-	if serve.HashHex(env.Key) != hash || serve.HashHex(string(env.Body)) != env.BodySHA256 {
+	env, ok := serve.ReadEnvelope(s.dir, serve.HashHex(canonical))
+	if !ok || env.Key != canonical {
 		return nil, false
 	}
 	return env.Body, true
@@ -101,32 +83,8 @@ func (s *Store) Load(canonical string) ([]byte, bool) {
 // the final name. A crash at any point leaves either the old state or
 // the new envelope, never a torn file that Load would accept.
 func (s *Store) Save(canonical string, body []byte) error {
-	hash := serve.HashHex(canonical)
-	data, err := json.Marshal(Envelope{
-		Key:        canonical,
-		BodySHA256: serve.HashHex(string(body)),
-		Body:       body,
-	})
-	if err != nil {
-		return fmt.Errorf("checkpoint: %s: %v", hash, err)
-	}
-	tmp, err := os.CreateTemp(s.dir, "cell-*.tmp")
-	if err != nil {
-		return fmt.Errorf("checkpoint: %s: %v", hash, err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("checkpoint: %s: %v", hash, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("checkpoint: %s: %v", hash, err)
-	}
-	if err := os.Rename(name, s.path(canonical)); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("checkpoint: %s: %v", hash, err)
+	if err := serve.WriteEnvelope(s.dir, canonical, body); err != nil {
+		return fmt.Errorf("checkpoint: %v", err)
 	}
 	return nil
 }

@@ -51,6 +51,9 @@ func Compete(k int, p, q float64) Competition {
 	return c
 }
 
+// smallestNormal is the smallest positive normal float64, 2^−1022.
+const smallestNormal = 0x1p-1022
+
 // PMFVector returns the probability mass function of Binomial(n, p) as a
 // slice of length n+1: index k holds P(B = k). Out-of-range p is clamped
 // to [0, 1]. It panics if n < 0.
@@ -73,7 +76,7 @@ func PMFVector(n int, p float64) []float64 {
 	default:
 		q := 1 - p
 		f := math.Pow(q, float64(n))
-		if f > 0 {
+		if f >= smallestNormal {
 			// Forward recurrence P(k+1) = P(k)·(n−k)/(k+1)·p/q.
 			r := p / q
 			for k := 0; k <= n; k++ {
@@ -81,7 +84,10 @@ func PMFVector(n int, p float64) []float64 {
 				f *= float64(n-k) / float64(k+1) * r
 			}
 		} else {
-			// q^n underflowed: evaluate every term in log space.
+			// q^n is subnormal or underflowed: a subnormal start carries
+			// too few mantissa bits, and the recurrence would spread
+			// that error over every term (the mass drifts by up to
+			// 2e-3), so evaluate every term in log space.
 			for k := 0; k <= n; k++ {
 				pmf[k] = math.Exp(logBinomPMF(n, k, p))
 			}

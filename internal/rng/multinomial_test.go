@@ -3,6 +3,8 @@ package rng
 import (
 	"math"
 	"testing"
+
+	"passivespread/internal/dist"
 )
 
 func TestMultinomialConserves(t *testing.T) {
@@ -140,5 +142,27 @@ func TestMultinomialToleratesRounding(t *testing.T) {
 	}
 	if sum != 1000 {
 		t.Fatalf("rounded pmf split into %d trials: %v", sum, out)
+	}
+}
+
+// TestPMFVectorMassNearDegenerate pins the pmf vectors the aggregate
+// engines hand to Multinomial when almost every observed bit agrees: for
+// q = 1−p in [1e-7, 1e-4] the start term q^ℓ of dist.PMFVector's forward
+// recurrence is subnormal for ℓ near 60 (n ≈ 2^20), and a drifted mass
+// used to trip the pmfMassTol check (a panic in the caller's goroutine).
+func TestPMFVectorMassNearDegenerate(t *testing.T) {
+	for _, ell := range []int{30, 45, 51, 60, 66, 75, 90} {
+		for i := 0; i <= 300; i++ {
+			q := math.Pow(10, -7+3*float64(i)/300)
+			for _, p := range []float64{1 - q, q} {
+				sum := 0.0
+				for _, v := range dist.PMFVector(ell, p) {
+					sum += v
+				}
+				if math.Abs(sum-1) > pmfMassTol {
+					t.Fatalf("ℓ=%d p=%v: pmf mass %v, want 1 within %v", ell, p, sum, pmfMassTol)
+				}
+			}
+		}
 	}
 }

@@ -18,12 +18,12 @@ import (
 // cold-run bytes verbatim.
 //
 // Disk layout (when a directory is configured): one file per entry,
-// named <hash>.json, containing the persistEntry envelope — the
-// canonical key string, the body, and the body's own SHA-256. Writes
-// are atomic (temp file + rename in the same directory), loads verify
-// both hashes and reject anything corrupt or misnamed, and eviction
-// only trims the memory tier: the disk tier keeps every answer ever
-// computed and re-promotes on demand.
+// named <hash>.json, containing the Envelope — the canonical key
+// string, the body, and the body's own SHA-256 (WriteEnvelope,
+// ReadEnvelope). Writes are atomic (temp file + rename in the same
+// directory, no fsync), loads verify both hashes and reject anything
+// corrupt or misnamed, and eviction only trims the memory tier: the
+// disk tier keeps every answer ever computed and re-promotes on demand.
 type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64
@@ -45,16 +45,65 @@ type cacheEntry struct {
 
 func (e *cacheEntry) size() int64 { return int64(len(e.body) + len(e.canonical) + len(e.hash)) }
 
-// persistEntry is the on-disk envelope of one answer.
-type persistEntry struct {
+// Envelope is the on-disk form of one verified entry, shared by this
+// cache's disk tier and the sweep checkpoint store: the file
+// <HashHex(Key)>.json holds it.
+type Envelope struct {
 	// Key is the canonical cell key string; its SHA-256 must equal the
 	// file's name stem.
 	Key string `json:"key"`
 	// BodySHA256 is the hex SHA-256 of Body, detecting torn or
 	// bit-rotted payloads independently of the file name.
 	BodySHA256 string `json:"body_sha256"`
-	// Body is the exact response body.
+	// Body is the stored payload (a response body, a sweep row).
 	Body json.RawMessage `json:"body"`
+}
+
+// ReadEnvelope loads the envelope file named hash in dir and verifies
+// both content addresses: the file name is the key's hash, and the
+// recorded digest is the body's. Anything unreadable, empty, corrupt or
+// misnamed is ok = false.
+func ReadEnvelope(dir, hash string) (Envelope, bool) {
+	var env Envelope
+	data, err := os.ReadFile(filepath.Join(dir, hash+".json"))
+	if err != nil || json.Unmarshal(data, &env) != nil || env.Key == "" || len(env.Body) == 0 {
+		return Envelope{}, false
+	}
+	if HashHex(env.Key) != hash || HashHex(string(env.Body)) != env.BodySHA256 {
+		return Envelope{}, false
+	}
+	return env, true
+}
+
+// WriteEnvelope writes body's envelope under the canonical key into
+// dir atomically: marshal to a temp file in dir, then rename onto the
+// final name, so a crash can leave a stale *.tmp file but never a torn
+// envelope. There is no fsync: a written envelope survives the death of
+// the process, not necessarily a power loss (ReadEnvelope then rejects
+// a torn file). Errors are prefixed with the key's hash.
+func WriteEnvelope(dir, canonical string, body []byte) error {
+	hash := HashHex(canonical)
+	data, err := json.Marshal(Envelope{Key: canonical, BodySHA256: HashHex(string(body)), Body: body})
+	if err != nil {
+		return fmt.Errorf("%s: %v", hash, err)
+	}
+	tmp, err := os.CreateTemp(dir, "envelope-*.tmp")
+	if err != nil {
+		return fmt.Errorf("%s: %v", hash, err)
+	}
+	name := tmp.Name()
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(name, filepath.Join(dir, hash+".json"))
+	}
+	if err != nil {
+		os.Remove(name)
+		return fmt.Errorf("%s: %v", hash, err)
+	}
+	return nil
 }
 
 // CacheStats is a point-in-time snapshot for fet.health and /metrics.
@@ -137,23 +186,11 @@ func (c *Cache) loadDir() (rejected int, err error) {
 
 // readEntry loads and verifies one disk entry.
 func (c *Cache) readEntry(hash string) (*cacheEntry, bool) {
-	data, err := os.ReadFile(filepath.Join(c.dir, hash+".json"))
-	if err != nil {
+	env, ok := ReadEnvelope(c.dir, hash)
+	if !ok {
 		return nil, false
 	}
-	var pe persistEntry
-	if err := json.Unmarshal(data, &pe); err != nil {
-		return nil, false
-	}
-	if pe.Key == "" || len(pe.Body) == 0 {
-		return nil, false
-	}
-	// Both content addresses must hold: the file name is the key's
-	// hash, and the recorded body digest is the body's.
-	if HashHex(pe.Key) != hash || HashHex(string(pe.Body)) != pe.BodySHA256 {
-		return nil, false
-	}
-	return &cacheEntry{hash: hash, canonical: pe.Key, body: pe.Body}, true
+	return &cacheEntry{hash: hash, canonical: env.Key, body: env.Body}, true
 }
 
 // insertLocked adds entry to the memory tier (caller holds mu) and
@@ -218,36 +255,10 @@ func (c *Cache) Put(canonical string, body []byte) error {
 	return c.persist(entry)
 }
 
-// persist writes one entry atomically: marshal to a temp file in the
-// cache directory, then rename onto the final name, so a crash can
-// leave a stale temp file but never a torn entry (and load-time
-// verification rejects anything else).
+// persist writes one entry to the disk tier (WriteEnvelope).
 func (c *Cache) persist(entry *cacheEntry) error {
-	data, err := json.Marshal(persistEntry{
-		Key:        entry.canonical,
-		BodySHA256: HashHex(string(entry.body)),
-		Body:       entry.body,
-	})
-	if err != nil {
-		return fmt.Errorf("serve: persisting %s: %v", entry.hash, err)
-	}
-	tmp, err := os.CreateTemp(c.dir, "put-*.tmp")
-	if err != nil {
-		return fmt.Errorf("serve: persisting %s: %v", entry.hash, err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("serve: persisting %s: %v", entry.hash, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("serve: persisting %s: %v", entry.hash, err)
-	}
-	if err := os.Rename(name, filepath.Join(c.dir, entry.hash+".json")); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("serve: persisting %s: %v", entry.hash, err)
+	if err := WriteEnvelope(c.dir, entry.canonical, entry.body); err != nil {
+		return fmt.Errorf("serve: persisting %v", err)
 	}
 	return nil
 }

@@ -114,12 +114,12 @@ func TestCacheRejectsCorruptDiskEntries(t *testing.T) {
 	good.Put(key, []byte(`{"ok":true}`))
 
 	// Corrupt 1: valid JSON under a name that is not the key's hash.
-	misnamed, _ := json.Marshal(persistEntry{Key: key, BodySHA256: HashHex(`{}`), Body: []byte(`{}`)})
+	misnamed, _ := json.Marshal(Envelope{Key: key, BodySHA256: HashHex(`{}`), Body: []byte(`{}`)})
 	wrongName := HashHex("something else")
 	os.WriteFile(filepath.Join(dir, wrongName+".json"), misnamed, 0o644)
 	// Corrupt 2: body digest mismatch under the right name.
 	k2 := testKeyN(8192).Canonical()
-	torn, _ := json.Marshal(persistEntry{Key: k2, BodySHA256: HashHex(`other`), Body: []byte(`{"x":1}`)})
+	torn, _ := json.Marshal(Envelope{Key: k2, BodySHA256: HashHex(`other`), Body: []byte(`{"x":1}`)})
 	os.WriteFile(filepath.Join(dir, HashHex(k2)+".json"), torn, 0o644)
 	// Corrupt 3: not JSON at all.
 	k3 := testKeyN(16384).Canonical()

@@ -168,8 +168,11 @@ func TestPoolReusesExecutors(t *testing.T) {
 	if _, err := pool.RunContext(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
-	key := poolKey{engine: EngineAgentFast, n: cfg.N, sources: 1, shards: 1,
-		protocol: cfg.Protocol.Name(), topology: "complete"}
+	key := poolKey{Shape: Shape{engine: EngineAgentFast, n: cfg.N, sources: 1, shards: 1,
+		protocol: cfg.Protocol.Name(), topology: "complete"}}
+	if got := ShapeOf(cfg); got != key.Shape {
+		t.Fatalf("ShapeOf = %+v, want %+v", got, key.Shape)
+	}
 	first := pool.get(key)
 	if first == nil {
 		t.Fatal("no pooled executor after a completed lease")
@@ -184,6 +187,20 @@ func TestPoolReusesExecutors(t *testing.T) {
 		t.Fatalf("pool rebuilt the executor instead of reusing it")
 	}
 	pool.put(key, second)
+
+	// ReleaseShape drops only its own shape's idle executors.
+	other := cfg
+	other.N++
+	pool.ReleaseShape(ShapeOf(other))
+	if e := pool.get(key); e != second {
+		t.Fatalf("ReleaseShape of another shape dropped this one")
+	} else {
+		pool.put(key, e)
+	}
+	pool.ReleaseShape(ShapeOf(cfg))
+	if pool.get(key) != nil {
+		t.Fatalf("ReleaseShape kept an idle executor of its shape")
+	}
 }
 
 // TestPooledParallelWorkersStop verifies the executor lifecycle: close

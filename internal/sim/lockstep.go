@@ -64,42 +64,61 @@ type LaneResult struct {
 	Err    error
 }
 
-// lockstepSupported reports whether the defaulted config c can run on
-// the lockstep executor: a tabulated-fast-path engine (EngineAgentFast,
-// or EngineAgentParallel, which is defined to be bit-identical to fast)
-// under uniform mixing, a TrendLockstep protocol with d ∈ {1, 2} draws
-// of one declared sample size, agents exposing PrevCount/ResetAgent,
-// and no StateInit hook (which would need live per-agent objects).
-// NoiseEps and CorruptStates are supported; FlipCorrectAt, AbsorbWindow,
-// RunToEnd, RecordTrajectory and Observers are driver-level and always
-// supported.
-func lockstepSupported(c *Config) bool {
-	if c.Engine != EngineAgentFast && c.Engine != EngineAgentParallel {
-		return false
+// Refusal names the part of a configuration that keeps it off the
+// lockstep executor. The zero value, Accepted, means nothing does.
+type Refusal uint8
+
+const (
+	Accepted         Refusal = iota
+	RefusedEngine            // not EngineAgentFast or EngineAgentParallel (bit-identical to fast)
+	RefusedTopology          // not uniform mixing
+	RefusedProtocol          // not TrendLockstep: d ∈ {1, 2} draws of one sample size, PrevCount, ResetAgent
+	RefusedStateInit         // a StateInit hook needs live per-agent objects
+)
+
+// String returns the refused part's name ("" for Accepted): "engine",
+// "topology", "protocol" or "StateInit".
+func (r Refusal) String() string {
+	return [...]string{"", "engine", "topology", "protocol", "StateInit"}[r]
+}
+
+// LockstepRefusal reports whether cfg can run on the lockstep executor
+// (Accepted) or which part of it refuses. NoiseEps and CorruptStates are
+// supported; FlipCorrectAt, AbsorbWindow, RunToEnd, RecordTrajectory and
+// Observers are driver-level and always supported. The error is cfg's
+// validation failure, if any.
+func LockstepRefusal(cfg Config) (Refusal, error) {
+	c, err := cfg.withDefaults()
+	if err != nil {
+		return Accepted, err
 	}
-	if !topo.IsComplete(c.Topology) || c.StateInit != nil {
-		return false
+	return lockstepRefusal(&c), nil
+}
+
+// lockstepRefusal is LockstepRefusal on a defaulted config.
+func lockstepRefusal(c *Config) Refusal {
+	if c.Engine != EngineAgentFast && c.Engine != EngineAgentParallel {
+		return RefusedEngine
+	}
+	if !topo.IsComplete(c.Topology) {
+		return RefusedTopology
 	}
 	proto, ok := c.Protocol.(TrendLockstep)
 	if !ok {
-		return false
+		return RefusedProtocol
 	}
-	if d := proto.DrawsPerRound(); d < 1 || d > 2 {
-		return false
-	}
-	m, ok := singleSampleSize(proto.SampleSizes())
-	if !ok || m < 1 || m > maxLockstepCount {
-		return false
-	}
+	m, single := singleSampleSize(proto.SampleSizes())
 	var s rng.Source
 	agent := proto.NewAgent(&s)
-	if _, ok := agent.(PrevCounter); !ok {
-		return false
+	_, prev := agent.(PrevCounter)
+	_, reset := agent.(AgentResetter)
+	if d := proto.DrawsPerRound(); d < 1 || d > 2 || !single || m < 1 || m > maxLockstepCount || !prev || !reset {
+		return RefusedProtocol
 	}
-	if _, ok := agent.(AgentResetter); !ok {
-		return false
+	if c.StateInit != nil {
+		return RefusedStateInit
 	}
-	return true
+	return Accepted
 }
 
 // lockstepExecutor holds the lane-major population of one batch. All
@@ -144,8 +163,8 @@ type lockstepExecutor struct {
 }
 
 // newLockstepExecutor allocates the lane-major buffers for batches of
-// exactly lanes replicates of c's shape. The caller has checked
-// lockstepSupported.
+// exactly lanes replicates of c's shape. The caller has checked that
+// lockstepRefusal accepts c.
 func newLockstepExecutor(c *Config, lanes int) *lockstepExecutor {
 	proto := c.Protocol.(TrendLockstep)
 	m, _ := singleSampleSize(proto.SampleSizes())

@@ -169,8 +169,8 @@ func TestLockstepBitIdenticalMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("withDefaults: %v", err)
 				}
-				if !lockstepSupported(&c) {
-					t.Fatalf("scenario unexpectedly ineligible for lockstep")
+				if r := lockstepRefusal(&c); r != Accepted {
+					t.Fatalf("scenario unexpectedly refused by lockstep: %s", r)
 				}
 				lanes := laneSeeds(uint64(0xC0FFEE+w), w)
 
@@ -298,24 +298,21 @@ func TestLockstepFallbackIneligible(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(*Config)
+		want Refusal
 	}{
-		{"exact-engine", func(c *Config) { c.Engine = EngineAgentExact }},
-		{"graph-topology", func(c *Config) { c.Topology = topo.RandomRegular(8) }},
-		{"non-trend-protocol", func(c *Config) { c.Protocol = majorityProtocol{m: 5} }},
+		{"exact-engine", func(c *Config) { c.Engine = EngineAgentExact }, RefusedEngine},
+		{"graph-topology", func(c *Config) { c.Topology = topo.RandomRegular(8) }, RefusedTopology},
+		{"non-trend-protocol", func(c *Config) { c.Protocol = majorityProtocol{m: 5} }, RefusedProtocol},
 		{"state-init", func(c *Config) {
 			c.StateInit = func(_ int, a Agent, _ *rng.Source) { a.(*lsTrendAgent).prev = 3 }
-		}},
+		}, RefusedStateInit},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := base
 			tc.mut(&cfg)
-			c, err := cfg.withDefaults()
-			if err != nil {
-				t.Fatalf("withDefaults: %v", err)
-			}
-			if lockstepSupported(&c) {
-				t.Fatalf("config unexpectedly eligible for lockstep")
+			if got, err := LockstepRefusal(cfg); err != nil || got != tc.want {
+				t.Fatalf("LockstepRefusal = %q, %v; want %q", got, err, tc.want)
 			}
 			lanes := laneSeeds(7, 4)
 			p := NewPool()

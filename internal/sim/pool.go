@@ -8,18 +8,43 @@ import (
 	"passivespread/internal/topo"
 )
 
-// poolKey is an executor's reuse shape: two configs with equal keys can
-// share an executor via populate. Everything else a replicate varies —
-// seed, correct opinion, initializer, noise, corruption hooks, round
-// caps, observers — is (re)applied per lease by populate and the
-// orchestrator. lanes is the lockstep batch width (0 for sequential
-// executors): lockstep buffers are sized n·lanes, so batches of
-// different widths are different shapes.
+// Shape is a configuration's executor reuse class: two configs of equal
+// Shape can share an executor via populate. Everything else a replicate
+// varies — seed, correct opinion, initializer, noise, corruption hooks,
+// round caps, observers — is (re)applied per lease by populate and the
+// orchestrator.
+type Shape struct {
+	engine             EngineKind
+	n, sources, shards int
+	protocol           string
+	topology           string
+}
+
+// ShapeOf returns the defaulted cfg's Shape. An invalid cfg has the zero
+// Shape, which no pooled executor has.
+func ShapeOf(cfg Config) Shape {
+	c, err := cfg.withDefaults()
+	if err != nil {
+		return Shape{}
+	}
+	return shapeOf(&c)
+}
+
+func shapeOf(c *Config) Shape {
+	shards := 1
+	if c.Engine == EngineAgentParallel {
+		shards = resolvedWorkers(c)
+	}
+	return Shape{c.Engine, c.N, c.Sources, shards, c.Protocol.Name(), topo.DisplayName(c.Topology)}
+}
+
+// poolKey is a pooled executor's key: its Shape plus, for lockstep
+// executors, the batch width (0 for sequential executors). Lockstep
+// buffers are sized n·lanes, so batches of different widths are
+// different keys.
 type poolKey struct {
-	engine                    EngineKind
-	n, sources, shards, lanes int
-	protocol                  string
-	topology                  string
+	Shape
+	lanes int
 }
 
 // Pool reuses agent executors — and with them every O(n) replicate
@@ -74,17 +99,7 @@ func (p *Pool) RunContext(ctx context.Context, cfg Config) (Result, error) {
 		return runLoop(ctx, &c, exec)
 	}
 
-	key := poolKey{
-		engine:   c.Engine,
-		n:        c.N,
-		sources:  c.Sources,
-		protocol: c.Protocol.Name(),
-		topology: topo.DisplayName(c.Topology),
-		shards:   1,
-	}
-	if c.Engine == EngineAgentParallel {
-		key.shards = resolvedWorkers(&c)
-	}
+	key := poolKey{Shape: shapeOf(&c)}
 
 	e := p.get(key)
 	if e == nil {
@@ -108,7 +123,7 @@ func (p *Pool) RunContext(ctx context.Context, cfg Config) (Result, error) {
 // with lanes[l].Seed and observed by lanes[l].Observers — writing each
 // lane's outcome to out[l]. Outcomes are bit-identical to running every
 // lane alone through RunContext: when the configuration supports the
-// lockstep executor (see lockstepSupported) the whole batch advances
+// lockstep executor (see LockstepRefusal) the whole batch advances
 // through one round loop on a pooled lockstep executor; otherwise, and for
 // single-lane batches, each lane falls back to the sequential path.
 // cfg.Seed and cfg.Observers are ignored — both are per-lane.
@@ -133,7 +148,7 @@ func (p *Pool) RunLockstep(ctx context.Context, cfg Config, lanes []LaneRun, out
 	if err != nil {
 		return err
 	}
-	if p == nil || len(lanes) == 1 || !lockstepSupported(&c) {
+	if p == nil || len(lanes) == 1 || lockstepRefusal(&c) != Accepted {
 		for l := range lanes {
 			lc := cfg
 			lc.Seed = lanes[l].Seed
@@ -150,15 +165,7 @@ func (p *Pool) RunLockstep(ctx context.Context, cfg Config, lanes []LaneRun, out
 		return nil
 	}
 
-	key := poolKey{
-		engine:   c.Engine,
-		n:        c.N,
-		sources:  c.Sources,
-		protocol: c.Protocol.Name(),
-		topology: topo.DisplayName(c.Topology),
-		shards:   1,
-		lanes:    len(lanes),
-	}
+	key := poolKey{Shape: shapeOf(&c), lanes: len(lanes)}
 	e := p.getLock(key)
 	if e == nil {
 		e = newLockstepExecutor(&c, len(lanes))
@@ -211,7 +218,14 @@ func (p *Pool) putLock(key poolKey, e *lockstepExecutor) {
 // Release closes and drops every idle executor. Executors leased at call
 // time are unaffected — they return to the pool when their replicate
 // finishes and are freed by the next Release.
-func (p *Pool) Release() {
+func (p *Pool) Release() { p.release(func(poolKey) bool { return true }) }
+
+// ReleaseShape is Release restricted to the executors of shape s,
+// sequential and lockstep of every width: a batch runner calls it once
+// no remaining work has that shape.
+func (p *Pool) ReleaseShape(s Shape) { p.release(func(k poolKey) bool { return k.Shape == s }) }
+
+func (p *Pool) release(match func(poolKey) bool) {
 	if p == nil {
 		return
 	}
@@ -219,6 +233,9 @@ func (p *Pool) Release() {
 	defer p.mu.Unlock()
 	//fet:allow detrand: shutdown drain; executors are independent, close order is unobservable
 	for key, frees := range p.free {
+		if !match(key) {
+			continue
+		}
 		for _, e := range frees {
 			e.close()
 		}
@@ -228,6 +245,8 @@ func (p *Pool) Release() {
 	for key := range p.freeLock {
 		// Lockstep executors own no background resources — dropping the
 		// references releases their buffers.
-		delete(p.freeLock, key)
+		if match(key) {
+			delete(p.freeLock, key)
+		}
 	}
 }

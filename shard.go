@@ -94,6 +94,9 @@ func ParseShard(s string) (Shard, error) {
 		return Shard{}, err
 	}
 	sh := Shard{Index: i, Count: m}
+	if sh.IsZero() { // "0/0": the whole-grid zero value has no "i/m" form
+		return Shard{}, fmt.Errorf("%w: Shard: %q, want 1 ≤ i ≤ m", ErrInvalidOptions, s)
+	}
 	if err := sh.validate(); err != nil {
 		return Shard{}, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"passivespread/internal/adversary"
 	"passivespread/internal/markov"
@@ -23,13 +24,13 @@ type StudySpec struct {
 	// (root seed, replicate index) alone, so results are bit-identical at
 	// every parallelism level.
 	Workers int
-	// Batch is the lockstep width W: each worker runs up to W replicates
-	// through one shared round loop and lockstep executor when the
-	// replicate configuration supports it (complete topology, trend-rule
-	// protocol, agent engines; see the sim package's lockstep executor),
-	// falling back to sequential per-replicate runs otherwise. 0 or 1
-	// disables batching; the maximum is MaxBatch (one replicate per bit
-	// of the executor's uint64 lane masks). Like Workers, Batch affects
+	// Batch is the lockstep width W: when the lockstep executor accepts
+	// the replicate configuration (complete topology, trend-rule
+	// protocol, agent engines; see Study.LockstepRefusal), a worker runs
+	// up to W replicates through one shared round loop; otherwise every
+	// replicate is its own task, as at Batch 1. 0 or 1 disables
+	// batching; the maximum is MaxBatch (one replicate per bit of the
+	// executor's uint64 lane masks). Like Workers, Batch affects
 	// scheduling only: reports are bit-identical at every Workers × Batch
 	// combination. The EngineMarkovChain form ignores Batch.
 	Batch int
@@ -107,9 +108,12 @@ type StudyReport struct {
 type Study struct {
 	replicates int
 	workers    int
-	batch      int
-	rootSeed   uint64
-	observe    func(replicate int) []Observer
+	// width is the scheduling task size: the lockstep batch, or 1 when
+	// the lockstep executor refuses the configuration (refusal says why).
+	width    int
+	refusal  sim.Refusal
+	rootSeed uint64
+	observe  func(replicate int) []Observer
 
 	// pool leases per-replicate round executors: every O(n) buffer (the
 	// packed opinion bitsets, per-agent RNG states, resettable agent
@@ -126,6 +130,12 @@ type Study struct {
 	chainN, chainEll, chainCap int
 	chainX0, chainX1           float64
 	chainTrajectory            bool
+
+	// runner, when set, runs each replicate instead of an engine: a
+	// grid cell (Sweep or fetserve) of a scenario with its own
+	// scheduler. params.Seed is set per replicate.
+	runner ScenarioRunner
+	params ScenarioParams
 }
 
 // NewStudy validates spec and returns a runnable Study. Validation
@@ -140,22 +150,9 @@ func NewStudy(spec StudySpec) (*Study, error) {
 	if spec.Batch < 0 || spec.Batch > MaxBatch {
 		return nil, fmt.Errorf("%w: Batch: %d, want 0…%d", ErrInvalidOptions, spec.Batch, MaxBatch)
 	}
-	batch := spec.Batch
-	if batch == 0 {
-		batch = 1
-	}
-	if batch > spec.Replicates {
-		batch = spec.Replicates
-	}
-	workers := spec.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > spec.Replicates {
-		workers = spec.Replicates
-	}
-	s := &Study{replicates: spec.Replicates, workers: workers, batch: batch, observe: spec.Observe}
+	s := &Study{replicates: spec.Replicates, workers: resolveWorkers(spec.Workers, spec.Replicates), width: 1, observe: spec.Observe}
 
+	var err error
 	if spec.Config != nil {
 		if spec.Config.Engine == EngineMarkovChain {
 			return nil, fmt.Errorf("%w: Config: EngineMarkovChain requires the Options form of StudySpec", ErrInvalidOptions)
@@ -166,25 +163,28 @@ func NewStudy(spec StudySpec) (*Study, error) {
 		}
 		s.cfg = *spec.Config
 		s.rootSeed = spec.Config.Seed
-		if err := s.cfg.Validate(); err != nil {
+		if s.refusal, err = sim.LockstepRefusal(s.cfg); err != nil {
 			return nil, fmt.Errorf("%w: Config: %v", ErrInvalidOptions, err)
 		}
-		s.pool = sim.NewPool()
-		return s, nil
-	}
-
-	if spec.Options.Engine == EngineMarkovChain {
-		if spec.Observe != nil {
-			return nil, fmt.Errorf("%w: Observe: EngineMarkovChain does not deliver round events", ErrInvalidOptions)
+	} else {
+		if spec.Options.Engine == EngineMarkovChain {
+			if spec.Observe != nil {
+				return nil, fmt.Errorf("%w: Observe: EngineMarkovChain does not deliver round events", ErrInvalidOptions)
+			}
+			s.refusal = sim.RefusedEngine
+			return s.withChain(spec.Options)
 		}
-		return s.withChain(spec.Options)
+		if s.cfg, err = spec.Options.config(); err != nil {
+			return nil, err
+		}
+		s.rootSeed = spec.Options.Seed
+		// An Options form the engine rejects fails per replicate, at run
+		// time, as it always has.
+		s.refusal, _ = sim.LockstepRefusal(s.cfg)
 	}
-	cfg, err := spec.Options.config()
-	if err != nil {
-		return nil, err
+	if s.refusal == sim.Accepted {
+		s.width = min(max(spec.Batch, 1), spec.Replicates)
 	}
-	s.cfg = cfg
-	s.rootSeed = spec.Options.Seed
 	s.pool = sim.NewPool()
 	return s, nil
 }
@@ -261,6 +261,12 @@ func (s *Study) Replicates() int { return s.replicates }
 // Workers returns the resolved worker-pool size.
 func (s *Study) Workers() int { return s.workers }
 
+// LockstepRefusal names the part of the replicate configuration the
+// lockstep executor refuses — "engine", "topology", "protocol" or
+// "StateInit" — in which case every replicate runs alone whatever the
+// Batch; it is "" when the executor accepts the configuration.
+func (s *Study) LockstepRefusal() string { return s.refusal.String() }
+
 // Stream starts the study and returns a channel delivering each
 // replicate's RunResult as it finishes (completion order; per-replicate
 // content is deterministic regardless of order). The channel is closed
@@ -269,60 +275,70 @@ func (s *Study) Workers() int { return s.workers }
 // ones finish within one simulated round. The caller must drain the
 // channel or cancel ctx, or the worker pool leaks.
 func (s *Study) Stream(ctx context.Context) <-chan RunResult {
-	batch := s.batch
-	if s.chain || batch < 1 {
-		batch = 1
-	}
 	out := make(chan RunResult)
 	go func() {
 		defer close(out)
-		// Workers claim batch-start indices; a batch of 1 degenerates to
-		// the per-replicate scheduling this loop always used.
-		starts := make(chan int)
-		var wg sync.WaitGroup
-		workers := s.workers
-		if nb := (s.replicates + batch - 1) / batch; workers > nb {
-			workers = nb
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for lo := range starts {
-					if batch == 1 {
-						r := s.runReplicate(ctx, lo)
-						select {
-						case out <- r:
-						case <-ctx.Done():
-							return
-						}
-						continue
-					}
-					for _, r := range s.runBatch(ctx, lo, batch) {
-						select {
-						case out <- r:
-						case <-ctx.Done():
-							return
-						}
-					}
-				}
-			}()
-		}
-	feed:
-		for i := 0; i < s.replicates; i += batch {
+		schedule(ctx, s.workers, []*Study{s}, func(_ int, r RunResult) bool {
 			select {
-			case starts <- i:
+			case out <- r:
+				return true
 			case <-ctx.Done():
-				break feed
+				return false
 			}
-		}
-		close(starts)
-		wg.Wait()
+		})
 		// All leases are back: free the pooled executors (and stop the
 		// parallel engine's persistent shard workers).
 		s.release()
 	}()
 	return out
+}
+
+// schedule is the one worker pool behind Study.Stream and Sweep.Stream
+// (a Study is a one-cell schedule). Each study's replicates split into
+// tasks of study.width consecutive replicates — one lockstep batch when
+// the width exceeds 1 — and the workers claim the tasks in slice order:
+// every task of studies[0], then of studies[1], and so on, so the
+// caller's study order is the feed order. Workers hand each replicate's
+// result to deliver, tagged with its study's index, as it finishes; a
+// worker stops when deliver returns false. schedule returns once every
+// worker has exited: after the last task, or within one simulated round
+// of ctx ending.
+func schedule(ctx context.Context, workers int, studies []*Study, deliver func(study int, r RunResult) bool) {
+	type task struct{ study, lo int }
+	var tasks []task
+	for i, s := range studies {
+		for lo := 0; lo < s.replicates; lo += s.width {
+			tasks = append(tasks, task{i, lo})
+		}
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	workers = min(workers, len(tasks))
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1) - 1); k < len(tasks) && ctx.Err() == nil; k = int(next.Add(1) - 1) {
+				t := tasks[k]
+				for _, r := range studies[t.study].runTask(ctx, t.lo) {
+					if !deliver(t.study, r) {
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// resolveWorkers maps a Workers option onto a pool size: 0 means
+// GOMAXPROCS, and there are never more workers than work items nor
+// fewer than one.
+func resolveWorkers(workers, items int) int {
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(min(workers, items), 1)
 }
 
 // release drops the study's idle pooled executors.
@@ -394,6 +410,12 @@ func (s *Study) runSingle(ctx context.Context) (Result, error) {
 func (s *Study) runReplicate(ctx context.Context, i int) RunResult {
 	seed := rng.StreamSeed(s.rootSeed, uint64(i))
 	rr := RunResult{Replicate: i, Seed: seed}
+	if s.runner != nil {
+		p := s.params
+		p.Seed = seed
+		rr.Result, rr.Err = s.runner(ctx, p)
+		return rr
+	}
 	if s.chain {
 		rr.Result, rr.Err = s.runChainReplicate(ctx, seed)
 		return rr
@@ -409,18 +431,19 @@ func (s *Study) runReplicate(ctx context.Context, i int) RunResult {
 	return rr
 }
 
-// runBatch executes replicates [lo, min(lo+batch, Replicates)) as one
-// lockstep batch. Each lane keeps the exact per-replicate contract of
-// runReplicate — seed StreamSeed(rootSeed, i), fresh observer instances
-// from the template slice plus Observe(i) — so every RunResult is
-// bit-identical to the sequential path. A batch-level rejection (which
-// RunLockstep reserves for invalid configurations) surfaces on every
-// lane of the batch.
-func (s *Study) runBatch(ctx context.Context, lo, batch int) []RunResult {
-	hi := lo + batch
-	if hi > s.replicates {
-		hi = s.replicates
+// runTask executes the scheduling task starting at replicate lo:
+// replicate lo alone at width 1, else replicates [lo, min(lo+width,
+// Replicates)) as one lockstep batch. Each lane keeps the exact
+// per-replicate contract of runReplicate — seed StreamSeed(rootSeed, i),
+// fresh observer instances from the template slice plus Observe(i) — so
+// every RunResult is bit-identical to the sequential path. A batch-level
+// rejection (which RunLockstep reserves for invalid configurations)
+// surfaces on every lane of the batch.
+func (s *Study) runTask(ctx context.Context, lo int) []RunResult {
+	if s.width == 1 {
+		return []RunResult{s.runReplicate(ctx, lo)}
 	}
+	hi := min(lo+s.width, s.replicates)
 	w := hi - lo
 	lanes := make([]sim.LaneRun, w)
 	laneOut := make([]sim.LaneResult, w)

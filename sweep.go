@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,6 +15,7 @@ import (
 
 	"passivespread/internal/checkpoint"
 	"passivespread/internal/rng"
+	"passivespread/internal/sim"
 	"passivespread/internal/stats"
 	"passivespread/internal/topo"
 )
@@ -59,17 +59,18 @@ type SweepSpec struct {
 	Replicates int
 	// Workers bounds the sweep's one shared worker pool (0 = GOMAXPROCS).
 	// Cells and replicates draw from the same budget: all
-	// cells × replicates work items feed one pool, so small cells cannot
-	// starve the grid and the last straggler cell still saturates the
-	// hardware. Scheduling never affects results.
+	// cells × replicates work items feed one pool, cheapest cell first
+	// (see Sweep.Stream), so small cells cannot starve the grid and the
+	// last straggler cell still saturates the hardware. Scheduling never
+	// affects results.
 	Workers int
 	// Batch is the per-cell lockstep width W (see StudySpec.Batch): a
 	// worker claims up to W consecutive replicates of one cell and runs
-	// them in lockstep when the cell's configuration supports the
-	// lockstep executor, falling back to sequential runs otherwise.
-	// 0 or 1 disables batching; the maximum is MaxBatch. Custom-runner
-	// scenarios and EngineMarkovChain cells always run per-replicate.
-	// Like Workers, Batch never affects results.
+	// them in lockstep when the lockstep executor accepts the cell's
+	// configuration (SweepCell.LockstepRefusal is ""); other cells run
+	// one replicate per task. 0 or 1 disables batching; the maximum is
+	// MaxBatch. Custom-runner scenarios and EngineMarkovChain cells
+	// always run per-replicate. Like Workers, Batch never affects results.
 	Batch int
 	// Seed is the sweep's root seed.
 	Seed uint64
@@ -119,6 +120,11 @@ type SweepCell struct {
 	MaxRounds int
 	// Seed is the cell's derived root seed, StreamSeed(sweep seed, Index).
 	Seed uint64
+	// LockstepRefusal names the part of the cell the lockstep executor
+	// refuses — "engine", "topology", "protocol" or "StateInit" — so its
+	// replicates run one at a time whatever the Batch; "" when the
+	// executor accepts the cell.
+	LockstepRefusal string
 }
 
 // SweepRow is one cell's aggregated outcome. Rows marshal directly to
@@ -167,47 +173,30 @@ type SweepReport struct {
 	Rows []SweepRow `json:"rows"`
 }
 
-// sweepCell pairs a cell's public identity with its executable form:
-// either a prepared Study (synchronous engines, chain) or a scenario
-// runner with resolved parameters.
+// sweepCell pairs a cell's public identity with its executable form, a
+// prepared Study: an engine Study (synchronous engines, chain) or a
+// scenario runner's, whose replicates call the runner.
 type sweepCell struct {
-	meta   SweepCell
-	study  *Study
-	runner ScenarioRunner
-	params ScenarioParams
-	// batch is the cell's lockstep scheduling width (1 = per-replicate;
-	// always 1 for runner and chain cells).
-	batch int
+	meta  SweepCell
+	study *Study
+	// shape is the executor shape the cell's replicates lease from the
+	// sweep's pool (zero for cells that lease none).
+	shape sim.Shape
 }
 
-// release frees the cell study's pooled executors once the cell's last
-// replicate has been aggregated (or the sweep was cancelled).
-func (c *sweepCell) release() {
-	if c.study != nil {
-		c.study.release()
+// cost is the cell's deterministic per-replicate work estimate, from
+// its own parameters: ∝ N for agent engines and scenario runners (whose
+// zero cfg reads as agent-fast), ∝ ℓ² for the aggregate engines and ∝ ℓ
+// for the chain. Sweep.Stream feeds cheap cells first; the estimate
+// never affects results.
+func (c *sweepCell) cost() int {
+	switch {
+	case c.study.chain:
+		return c.meta.Ell
+	case c.study.cfg.Engine == EngineAggregate || c.study.cfg.Engine == EngineAggregateSparse:
+		return c.meta.Ell * c.meta.Ell
 	}
-}
-
-// runReplicate executes replicate i of the cell with its derived seed.
-func (c *sweepCell) runReplicate(ctx context.Context, i int) RunResult {
-	if c.study != nil {
-		return c.study.runReplicate(ctx, i)
-	}
-	p := c.params
-	p.Seed = rng.StreamSeed(c.meta.Seed, uint64(i))
-	rr := RunResult{Replicate: i, Seed: p.Seed}
-	rr.Result, rr.Err = c.runner(ctx, p)
-	return rr
-}
-
-// runBatch executes the cell's replicates starting at lo — one lockstep
-// batch for study-backed cells with a batch width, a single replicate
-// otherwise.
-func (c *sweepCell) runBatch(ctx context.Context, lo int) []RunResult {
-	if c.batch > 1 && c.study != nil {
-		return c.study.runBatch(ctx, lo, c.batch)
-	}
-	return []RunResult{c.runReplicate(ctx, lo)}
+	return c.meta.N
 }
 
 // Sweep is a prepared parameter grid. Construct with NewSweep; run with
@@ -219,6 +208,11 @@ type Sweep struct {
 	seed       uint64
 	shard      Shard
 	planned    []int // cell indices this shard owns, ascending
+
+	// pool is shared by every cell: cells of one shape reuse each
+	// other's executors (Stream drops a shape's idle executors once no
+	// remaining cell has it).
+	pool *sim.Pool
 
 	ckpt    *checkpoint.Store
 	keys    []string // canonical cell keys, set iff ckpt != nil
@@ -370,14 +364,7 @@ func NewSweep(spec SweepSpec) (*Sweep, error) {
 	if parallelism == 0 {
 		parallelism = 1
 	}
-	batch := spec.Batch
-	if batch == 0 {
-		batch = 1
-	}
-	if batch > spec.Replicates {
-		batch = spec.Replicates
-	}
-	s := &Sweep{replicates: spec.Replicates, seed: spec.Seed, shard: spec.Shard}
+	s := &Sweep{replicates: spec.Replicates, seed: spec.Seed, shard: spec.Shard, pool: sim.NewPool()}
 	s.cells = make([]sweepCell, 0, len(scenarios)*len(engines)*len(topologies)*len(spec.Ns)*len(ells))
 	for _, sc := range scenarios {
 		for _, engine := range engines {
@@ -400,7 +387,7 @@ func NewSweep(spec SweepSpec) (*Sweep, error) {
 							maxRounds = DefaultMaxRounds(n)
 						}
 						cell, err := newSweepCell(idx, sc, engine, cellTopo, n, ell, maxRounds, parallelism,
-							rng.StreamSeed(spec.Seed, uint64(idx)), spec.Replicates, batch)
+							rng.StreamSeed(spec.Seed, uint64(idx)), spec.Replicates, spec.Batch, s.pool)
 						if err != nil {
 							return nil, fmt.Errorf("cell %d (scenario %s, engine %s, topology %s, n=%d, ℓ=%d): %w",
 								idx, sc.Name, EngineName(engine), topo.DisplayName(cellTopo), n, ell, err)
@@ -434,23 +421,14 @@ func NewSweep(spec SweepSpec) (*Sweep, error) {
 		s.ckpt = store
 	}
 
-	workers := spec.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if total := len(s.planned) * spec.Replicates; workers > total {
-		workers = total
-	}
-	if workers < 1 {
-		workers = 1 // an empty shard still needs a well-formed (idle) pool
-	}
-	s.workers = workers
+	s.workers = resolveWorkers(spec.Workers, len(s.planned)*spec.Replicates)
 	return s, nil
 }
 
-// newSweepCell prepares one grid cell.
+// newSweepCell prepares one grid cell; its replicates lease executors
+// from pool.
 func newSweepCell(idx int, sc Scenario, engine EngineKind, cellTopo Topology, n, ell, maxRounds, parallelism int,
-	cellSeed uint64, replicates, batch int) (sweepCell, error) {
+	cellSeed uint64, replicates, batch int, pool *sim.Pool) (sweepCell, error) {
 	cell := sweepCell{meta: SweepCell{
 		Index:     idx,
 		Scenario:  sc.Name,
@@ -460,40 +438,42 @@ func newSweepCell(idx int, sc Scenario, engine EngineKind, cellTopo Topology, n,
 		Ell:       ell,
 		MaxRounds: maxRounds,
 		Seed:      cellSeed,
-	}, batch: 1}
-	switch {
-	case sc.Run != nil:
-		init, sources := sc.resolved()
+	}}
+	if sc.Run != nil {
 		cell.meta.Engine = sc.EngineLabel
 		if cell.meta.Engine == "" {
 			cell.meta.Engine = sc.Name
 		}
-		cell.runner = sc.Run
-		cell.params = ScenarioParams{N: n, Ell: ell, Sources: sources, MaxRounds: maxRounds, Init: init}
-		return cell, nil
+	}
+	study, err := newCellStudy(sc, engine, cellTopo, n, ell, maxRounds, parallelism, cellSeed, replicates, 1, batch)
+	if err != nil {
+		return cell, err
+	}
+	study.pool = pool
+	cell.study = study
+	cell.shape = sim.ShapeOf(study.cfg) // zero for chain and runner cells, which lease nothing
+	cell.meta.LockstepRefusal = study.LockstepRefusal()
+	return cell, nil
+}
+
+// newCellStudy prepares the Study behind one grid cell, for a Sweep or
+// fetserve: the scenario's runner when it has one, else the engine.
+func newCellStudy(sc Scenario, engine EngineKind, cellTopo Topology, n, ell, maxRounds, parallelism int,
+	seed uint64, replicates, workers, batch int) (*Study, error) {
+	switch {
+	case sc.Run != nil:
+		init, sources := sc.resolved()
+		return &Study{replicates: replicates, workers: resolveWorkers(workers, replicates), width: 1,
+			refusal: sim.RefusedEngine, rootSeed: seed, runner: sc.Run,
+			params: ScenarioParams{N: n, Ell: ell, Sources: sources, MaxRounds: maxRounds, Init: init}}, nil
 	case engine == EngineMarkovChain:
 		if !sc.chainCompatible() {
-			return cell, fmt.Errorf("%w: Scenarios: scenario %q is not expressible on the Markov-chain engine", ErrInvalidOptions, sc.Name)
+			return nil, fmt.Errorf("%w: Scenarios: scenario %q is not expressible on the Markov-chain engine", ErrInvalidOptions, sc.Name)
 		}
-		study, err := NewStudy(StudySpec{
-			Replicates: replicates,
-			Workers:    1, // the sweep schedules replicates itself
-			Options:    sc.options(n, ell, maxRounds, cellSeed),
-		})
-		if err != nil {
-			return cell, err
-		}
-		cell.study = study
-		return cell, nil
+		return NewStudy(StudySpec{Replicates: replicates, Workers: workers, Options: sc.options(n, ell, maxRounds, seed)})
 	default:
-		cfg := sc.config(n, ell, maxRounds, engine, cellTopo, parallelism, cellSeed)
-		study, err := NewStudy(StudySpec{Replicates: replicates, Workers: 1, Batch: batch, Config: &cfg})
-		if err != nil {
-			return cell, err
-		}
-		cell.study = study
-		cell.batch = batch
-		return cell, nil
+		cfg := sc.config(n, ell, maxRounds, engine, cellTopo, parallelism, seed)
+		return NewStudy(StudySpec{Replicates: replicates, Workers: workers, Batch: batch, Config: &cfg})
 	}
 }
 
@@ -543,8 +523,12 @@ func (s *Sweep) CheckpointErr() error {
 // envelope must be content-address-valid (checkpoint.Store.Load), and
 // the row inside must describe exactly this cell — matching index,
 // identity columns, seed, and replicate count. Anything less is a miss
-// and the cell re-runs, which is always correct.
+// (as is every cell without a checkpoint store) and the cell re-runs,
+// which is always correct.
 func (s *Sweep) loadCheckpoint(cell int) (SweepRow, bool) {
+	if s.ckpt == nil {
+		return SweepRow{}, false
+	}
 	body, ok := s.ckpt.Load(s.keys[cell])
 	if !ok {
 		return SweepRow{}, false
@@ -583,7 +567,11 @@ func (s *Sweep) saveCheckpoint(cell int, row SweepRow) {
 // SweepRow as its last replicate finishes (completion order; row content
 // is deterministic regardless of order). All planned cells × replicates
 // work items feed one shared worker pool; a sharded sweep plans only
-// its own partition class. With a checkpoint directory configured,
+// its own partition class. Cells are fed cheapest first by a
+// deterministic work estimate from each cell's own parameters (∝ N for
+// agent engines and scenario runners, ∝ ℓ² for the aggregate engines,
+// ∝ ℓ for the chain; ties in cell order), so short cells' rows arrive
+// before the long ones'. With a checkpoint directory configured,
 // validly checkpointed cells are delivered up front (cell order) without
 // running, and every newly completed cell is durably checkpointed before
 // its row is delivered. The channel is closed once every planned cell
@@ -597,93 +585,67 @@ func (s *Sweep) Stream(ctx context.Context) <-chan SweepRow {
 		defer close(out)
 		// Resume pass: planned cells with a valid checkpoint replay
 		// their stored row and never enter the pool; the rest run.
-		todo := s.planned
-		if s.ckpt != nil {
-			todo = make([]int, 0, len(s.planned))
-		restore:
-			for _, c := range s.planned {
-				row, ok := s.loadCheckpoint(c)
-				if !ok {
-					todo = append(todo, c)
-					continue
-				}
-				s.cells[c].release()
-				select {
-				case out <- row:
-				case <-ctx.Done():
-					break restore // cancelled: nothing more runs
-				}
-			}
-			if ctx.Err() != nil {
-				todo = nil
-			}
-		}
-
-		// Tasks are batch-granular: a task is a cell plus the start index
-		// of up to cell.batch consecutive replicates, which the claiming
-		// worker runs as one lockstep batch (cells with batch 1 degenerate
-		// to the historical one-replicate-per-task scheduling). Results
-		// still flow back one replicate at a time.
-		type task struct{ cell, rep int }
-		type taskDone struct {
-			cell int
-			res  RunResult
-		}
-		tasks := make(chan task)
-		results := make(chan taskDone)
-		var wg sync.WaitGroup
-		for w := 0; w < s.workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for t := range tasks {
-					for _, res := range s.cells[t.cell].runBatch(ctx, t.rep) {
-						select {
-						case results <- taskDone{t.cell, res}:
-						case <-ctx.Done():
-							return
-						}
-					}
-				}
-			}()
-		}
-		go func() {
-		feed:
-			for _, c := range todo {
-				step := s.cells[c].batch
-				for r := 0; r < s.replicates; r += step {
-					select {
-					case tasks <- task{c, r}:
-					case <-ctx.Done():
-						break feed
-					}
-				}
-			}
-			close(tasks)
-			wg.Wait()
-			close(results)
-		}()
-
-		pending := make([][]RunResult, len(s.cells))
-		remaining := make([]int, len(s.cells))
-		for i := range remaining {
-			remaining[i] = s.replicates
-		}
-		for d := range results {
-			cell := d.cell
-			if pending[cell] == nil {
-				pending[cell] = make([]RunResult, s.replicates)
-			}
-			pending[cell][d.res.Replicate] = d.res
-			if remaining[cell]--; remaining[cell] > 0 {
+		todo := make([]int, 0, len(s.planned))
+	restore:
+		for _, c := range s.planned {
+			row, ok := s.loadCheckpoint(c)
+			if !ok {
+				todo = append(todo, c)
 				continue
 			}
-			row, ok := s.row(cell, pending[cell])
-			pending[cell] = nil
+			select {
+			case out <- row:
+			case <-ctx.Done():
+				break restore // cancelled: nothing more runs
+			}
+		}
+		if ctx.Err() != nil {
+			todo = nil
+		}
+		sort.SliceStable(todo, func(i, j int) bool { return s.cells[todo[i]].cost() < s.cells[todo[j]].cost() })
+
+		studies := make([]*Study, len(todo))
+		shapesLeft := make(map[sim.Shape]int)
+		for i, c := range todo {
+			studies[i] = s.cells[c].study
+			shapesLeft[s.cells[c].shape]++
+		}
+		type scheduled struct {
+			study int
+			res   RunResult
+		}
+		results := make(chan scheduled)
+		go func() {
+			defer close(results)
+			schedule(ctx, s.workers, studies, func(i int, r RunResult) bool {
+				select {
+				case results <- scheduled{i, r}:
+					return true
+				case <-ctx.Done():
+					return false
+				}
+			})
+		}()
+		pending := make([][]RunResult, len(todo))
+		received := make([]int, len(todo))
+		for d := range results {
+			if pending[d.study] == nil {
+				pending[d.study] = make([]RunResult, s.replicates)
+			}
+			pending[d.study][d.res.Replicate] = d.res
+			if received[d.study]++; received[d.study] < s.replicates {
+				continue
+			}
+			cell := todo[d.study]
+			row, ok := s.row(cell, pending[d.study])
+			pending[d.study] = nil
 			// The cell's last replicate returned its leased executor
-			// before its result was delivered, so the cell's pooled
-			// buffers can be freed as the grid progresses.
-			s.cells[cell].release()
+			// before its result was delivered, so once no remaining cell
+			// shares its shape the shape's idle executors can go.
+			sh := s.cells[cell].shape
+			if shapesLeft[sh]--; shapesLeft[sh] == 0 {
+				s.pool.ReleaseShape(sh)
+			}
 			if !ok {
 				continue // interrupted mid-run; drop, don't misreport
 			}
@@ -701,11 +663,9 @@ func (s *Sweep) Stream(ctx context.Context) <-chan SweepRow {
 				// workers can exit.
 			}
 		}
-		// Cancellation can leave interrupted cells with leased-and-
-		// returned executors; every worker has exited, so sweep them all.
-		for i := range s.cells {
-			s.cells[i].release()
-		}
+		// Cancellation can leave interrupted cells' executors idle in the
+		// pool; every worker has exited, so free them all.
+		s.pool.Release()
 	}()
 	return out
 }

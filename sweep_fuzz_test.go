@@ -2,8 +2,11 @@ package passivespread
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"passivespread/internal/serve"
 )
 
 // seedSweepCSV renders a real two-topology sweep report once, giving the
@@ -181,6 +184,124 @@ func FuzzParseCellKey(f *testing.F) {
 		}
 		if got := k.Canonical(); got != s {
 			t.Fatalf("ParseCellKey accepted a non-canonical key:\ninput:     %q\ncanonical: %q", s, got)
+		}
+	})
+}
+
+// shardCorpus renders a small sweep's real shard artifacts: the whole
+// grid as 1/1 and as the two halves 1/2, 2/2. They seed the shard
+// fuzzers.
+func shardCorpus(tb testing.TB) (whole []byte, halves [2][]byte) {
+	tb.Helper()
+	render := func(sh Shard) []byte {
+		sweep, err := NewSweep(SweepSpec{
+			Ns: []int{64, 128}, Replicates: 2, Seed: 3, MaxRounds: 60, Shard: sh,
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		rep, err := sweep.Run(context.Background())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		art, err := sweep.ShardArtifact(rep)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		data, err := art.JSON()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return data
+	}
+	return render(Shard{Index: 1, Count: 1}), [2][]byte{render(Shard{Index: 1, Count: 2}), render(Shard{Index: 2, Count: 2})}
+}
+
+// FuzzParseShard: ParseShard must never panic, must reject with
+// ErrInvalidOptions, and String∘ParseShard must be a fixed point: the
+// rendering of an accepted shard parses back to the same shard.
+func FuzzParseShard(f *testing.F) {
+	whole, halves := shardCorpus(f)
+	for _, data := range [][]byte{whole, halves[0], halves[1]} {
+		art, err := ParseShardArtifact(data)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(art.Shard)
+	}
+	for _, s := range []string{"", "/", "1/", "/2", "0/0", "0/2", "3/2", "01/2", "+1/2", "-1/2", " 1/2", "1/2/3", "1/0", "9223372036854775807/9223372036854775807"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		sh, err := ParseShard(s)
+		if err != nil {
+			if !errors.Is(err, ErrInvalidOptions) {
+				t.Fatalf("ParseShard(%q) rejected with an untyped error: %v", s, err)
+			}
+			return
+		}
+		canon := sh.String()
+		again, err := ParseShard(canon)
+		if err != nil || again != sh || again.String() != canon {
+			t.Fatalf("ParseShard(%q) = %+v renders %q, which parses to %+v, %v", s, sh, canon, again, err)
+		}
+	})
+}
+
+// FuzzParseShardArtifact: any pair of byte strings parses as shard
+// artifacts or is rejected, and whatever parses goes through
+// MergeShards with full verification, which must reject it with
+// ErrShardMerge or return a verified report — every grid cell exactly
+// once, in cell order, each row the one an artifact carried under a
+// digest of its own body. Nothing may panic.
+func FuzzParseShardArtifact(f *testing.F) {
+	whole, halves := shardCorpus(f)
+	f.Add(whole, []byte(nil))
+	f.Add(halves[0], halves[1])
+	f.Add(halves[1], halves[0])
+	f.Add(halves[0], halves[0])
+	f.Add(halves[0], []byte(nil))
+	f.Add(whole, halves[0])
+	f.Add([]byte(`{"version":"fetshard/v1","shard":"1/1","cells":1,"replicates":1,"seed":0,"rows":[{"cell":0}]}`), []byte(nil))
+	f.Add([]byte(`{`), []byte(`[]`))
+
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		var arts []*ShardArtifact
+		for _, data := range [][]byte{a, b} {
+			if art, err := ParseShardArtifact(data); err == nil {
+				arts = append(arts, art)
+			}
+		}
+		if len(arts) == 0 {
+			return
+		}
+		rep, err := MergeShards(arts, true)
+		if err != nil {
+			if !errors.Is(err, ErrShardMerge) {
+				t.Fatalf("MergeShards rejected with an untyped error: %v", err)
+			}
+			return
+		}
+		if len(rep.Rows) != rep.Cells {
+			t.Fatalf("merged %d rows for %d cells", len(rep.Rows), rep.Cells)
+		}
+		for i, row := range rep.Rows {
+			if row.Cell != i {
+				t.Fatalf("merged row %d is cell %d", i, row.Cell)
+			}
+			body, err := sweepRowBody(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := false
+			for _, art := range arts {
+				for _, r := range art.Rows {
+					found = found || (r.Cell == i && r.Digest == serve.HashHex(string(body)))
+				}
+			}
+			if !found {
+				t.Fatalf("merged cell %d carries a row no artifact vouched for", i)
+			}
 		}
 	})
 }
